@@ -943,6 +943,30 @@ void BenchGroupBy() {
       }
     }
   }
+
+  // TPC-H Q1's shape under a budget: 4 string-key groups with f64 SUMs at
+  // a limit of 1/8 of the input. The in-memory path is denied, but every
+  // group stays in the spill path's resident table, so nothing is
+  // written. Reported only; the output must stay byte-equal to t1.
+  {
+    const Shape shape{"str", make_str(4), {0}, 1, AtomType::kFloat64};
+    storage::BlobStore spill_store;
+    const size_t tiny_limit = shape.data->byte_size() / 8;
+    uint64_t sum_t1 = 0, spilled = 0;
+    run_one(shape, 1, &sum_t1, nullptr);
+    run_one(shape, 4, &spilled, nullptr, nullptr, tiny_limit, &spill_store);
+    if (spilled != sum_t1) {
+      std::fprintf(stderr,
+                   "FAIL: groupby str g4 budgeted output differs from t1\n");
+      std::exit(1);
+    }
+    RunBench("groupby_1m_str_g4_spill", n, shape.data->byte_size(), 1,
+             [&] {
+               run_one(shape, 4, nullptr, nullptr, nullptr, tiny_limit,
+                       &spill_store);
+             },
+             4);
+  }
 }
 
 /// Network-exchange shuffle family (docs/DESIGN-exchange.md): a full

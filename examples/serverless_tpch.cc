@@ -69,7 +69,7 @@ int main() {
 
   // The same query under a per-worker memory budget (the 3 GB Lambda
   // ceiling, scaled to this toy data): blocking operators degrade to
-  // Grace spilling through the worker's S3 path, and the result is
+  // spilling through the worker's S3 path, and the result is
   // byte-identical to the unlimited run (docs/DESIGN-memory.md).
   {
     tpch::TpchRunOptions opts = tpch::TpchRunOptions::Lambda(4);

@@ -99,11 +99,11 @@ struct ExecOptions {
   /// Per-rank (and per-driver) memory budget in bytes; 0 = unlimited.
   /// Every large allocation site charges the rank's MemoryBudget; blocking
   /// operators (BuildProbe, ReduceByKey, Sort/TopK) degrade to their
-  /// Grace-partition / external-merge spill paths when their drained input
-  /// exceeds half of this, and fail fast with kResourceExhausted when even
-  /// the spilled working set cannot fit. Spill decisions depend only on
-  /// (this limit, input/histogram sizes), so results stay byte-equal to
-  /// the unlimited run at any thread count.
+  /// Grace-join / hybrid-aggregation / external-merge spill paths when
+  /// their drained input exceeds half of this, and fail fast with
+  /// kResourceExhausted when even the spilled working set cannot fit.
+  /// Spill decisions depend only on (this limit, input/histogram sizes),
+  /// so results stay byte-equal to the unlimited run at any thread count.
   size_t memory_limit_bytes = 0;
 
   /// Fault injection for the spill clients the blocking operators open

@@ -122,6 +122,26 @@ inline bool ShouldSpill(size_t input_bytes, size_t limit_bytes) {
 /// row genuinely cannot fit.
 inline size_t SpillQuotaBytes(size_t limit_bytes) { return limit_bytes / 4; }
 
+/// Resident-group cap of ReduceByKey's hybrid spill path: how many groups
+/// stay in its in-memory table before the rows of further groups spill.
+/// The groups get the half of the budget that ShouldSpill leaves beside
+/// the input. The table is a power-of-two slot array grown at load factor
+/// 0.7, so the cap is the key count of the largest such table whose slots
+/// (`slot_bytes` each) plus per-group state (`group_bytes`: state row,
+/// first-occurrence index, out-of-line key bytes) fit that half; at least
+/// one group. Pure function of its arguments.
+inline size_t ResidentGroupCap(size_t limit_bytes, size_t slot_bytes,
+                               size_t group_bytes) {
+  const size_t room = limit_bytes / 2;
+  size_t cap = 1;
+  for (size_t slots = 2; slots <= room; slots *= 2) {
+    const size_t keys = (slots * 7 - 1) / 10;  // below the 0.7 growth point
+    if (slots * slot_bytes + keys * group_bytes > room) break;
+    cap = keys;
+  }
+  return cap;
+}
+
 }  // namespace modularis
 
 #endif  // MODULARIS_CORE_MEMORY_H_

@@ -69,8 +69,8 @@ class SpillSet {
   Status ReadPartition(int pass, int pid, RowVector* rows,
                        std::vector<uint32_t>* idx);
 
-  /// Deletes chunks of one partition (freed as soon as a recursion pass
-  /// has re-scattered it) or everything this set ever wrote. Deletes go
+  /// Deletes chunks of one partition (freed as soon as it has been read
+  /// back) or everything this set ever wrote. Deletes go
   /// straight to the store — cleanup on an abort path must not throttle,
   /// fail or inject.
   void DeletePartition(int pass, int pid);

@@ -1,6 +1,7 @@
 #include "suboperators/agg_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -72,6 +73,19 @@ uint32_t I64StateMap::FindOrInsert(int64_t key, bool* inserted) {
   return static_cast<uint32_t>(size_++);
 }
 
+bool I64StateMap::Find(int64_t key, uint32_t* state) const {
+  if (keys_.empty()) return false;
+  size_t slot = MixHash64(static_cast<uint64_t>(key)) & mask_;
+  while (used_[slot]) {
+    if (keys_[slot] == key) {
+      *state = vals_[slot];
+      return true;
+    }
+    slot = (slot + 1) & mask_;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // ByteStateTable
 // ---------------------------------------------------------------------------
@@ -140,6 +154,22 @@ uint32_t ByteStateTable::FindOrInsert(const uint8_t* key, uint32_t len,
   }
   *inserted = true;
   return static_cast<uint32_t>(size_++);
+}
+
+bool ByteStateTable::Find(const uint8_t* key, uint32_t len, uint64_t hash,
+                          uint32_t* state) const {
+  if (slots_.empty()) return false;
+  size_t slot = hash & mask_;
+  while (slots_[slot].len_plus1 != 0) {
+    const Slot& s = slots_[slot];
+    if (s.hash == hash && s.len_plus1 == len + 1 &&
+        std::memcmp(SlotKey(s), key, len) == 0) {
+      *state = s.val;
+      return true;
+    }
+    slot = (slot + 1) & mask_;
+  }
+  return false;
 }
 
 size_t ByteStateTable::byte_size() const {
@@ -400,7 +430,7 @@ void ReduceByKey::AggregatePartition(
     const uint8_t* rows, size_t n, const Schema& schema, const uint32_t* idx,
     RowVector* states, std::vector<uint32_t>* first, I64StateMap* map,
     ByteStateTable* table, std::vector<uint8_t>* key_scratch,
-    std::vector<uint64_t>* hash_scratch, bool reset_tables) const {
+    std::vector<uint64_t>* hash_scratch) const {
   // The partition's row count is a hard upper bound on its distinct keys,
   // so reserving it guarantees zero mid-aggregation rehashes — but on a
   // duplicate-heavy skewed partition (all rows of a hot key in one
@@ -412,10 +442,8 @@ void ReduceByKey::AggregatePartition(
   const size_t reserve = std::min(n, kMaxReserveKeys);
   const uint32_t stride = schema.row_size();
   if (single_i64_key_) {
-    if (reset_tables) {
-      map->Clear();
-      map->Reserve(reserve);
-    }
+    map->Clear();
+    map->Reserve(reserve);
     const uint8_t* p = rows;
     for (size_t j = 0; j < n; ++j, p += stride) {
       RowRef row(p, &schema);
@@ -429,10 +457,8 @@ void ReduceByKey::AggregatePartition(
     }
     return;
   }
-  if (reset_tables) {
-    table->Clear();
-    table->Reserve(reserve);
-  }
+  table->Clear();
+  table->Reserve(reserve);
   const uint32_t ks = codec_.key_size();
   key_scratch->resize(kKeyChunkRows * ks);
   hash_scratch->resize(kKeyChunkRows);
@@ -605,35 +631,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
   return Status::OK();
 }
 
-// -- Grace-style spill path (docs/DESIGN-memory.md) -------------------------
-
-void ReduceByKey::ComputeKeyHashes(const uint8_t* rows, size_t n,
-                                   const Schema& schema,
-                                   std::vector<uint64_t>* hashes) const {
-  hashes->resize(n);
-  const uint32_t stride = schema.row_size();
-  if (single_i64_key_) {
-    const uint8_t* p = rows;
-    for (size_t i = 0; i < n; ++i, p += stride) {
-      (*hashes)[i] = MixHash64(
-          static_cast<uint64_t>(KeyAt(RowRef(p, &schema), key_cols_[0])));
-    }
-    return;
-  }
-  const uint32_t ks = codec_.key_size();
-  std::vector<uint8_t> keys(kKeyChunkRows * ks);
-  RowSpan span{rows, stride, &schema};
-  for (size_t base = 0; base < n; base += kKeyChunkRows) {
-    const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, keys.data(),
-                                 hashes->data() + base);
-    } else {
-      codec_.SerializeKeys(span, base, m, keys.data());
-      HashKeysSpan(keys.data(), m, ks, hashes->data() + base);
-    }
-  }
-}
+// -- Hybrid hash spill path (docs/DESIGN-memory.md) -------------------------
 
 void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
                                std::vector<uint32_t>* first_out) const {
@@ -663,9 +661,10 @@ void ReduceByKey::MergeAggRuns(std::vector<AggRun>* runs, RowVector* states,
 Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
   const size_t mem_limit = ctx_->options.memory_limit_bytes;
   const size_t quota = SpillQuotaBytes(mem_limit);
-  const Schema& schema = input->schema();
-  const uint32_t stride = input->row_size();
-  const size_t n = input->size();
+  // A copy: `input` may be the schema's only owner, and level 0 releases
+  // it before the spilled partitions are read back.
+  const Schema schema = input->schema();
+  const uint32_t stride = schema.row_size();
   // Denied the in-memory path — counted whether the spill fallback is
   // viable (graceful degradation) or not (fail fast below).
   if (ctx_->budget != nullptr) ctx_->budget->NoteDenial();
@@ -681,225 +680,173 @@ Status ReduceByKey::ConsumeAllSpill(RowVectorPtr input) {
         " bytes exceeds memory_limit_bytes=" + std::to_string(mem_limit) +
         " and no spill store is configured");
   }
-  AddStatCounter("spill.ops.ReduceByKey", 1);
   storage::SpillSet spill(ctx_, "reduce");
-  constexpr int kFanout = 1 << kPartitionBits;
-  constexpr int kPidShift = 64 - kPartitionBits;
-
-  // Histogram over the first hash window. The keep/spill split below is
-  // a pure function of (limit, histogram) — never of the thread count or
-  // the live memory counter — so the output stays byte-equal to the
-  // in-memory paths.
-  std::vector<uint64_t> hashes;
-  ComputeKeyHashes(input->data(), n, schema, &hashes);
-  std::vector<size_t> part_rows(kFanout, 0);
-  for (size_t i = 0; i < n; ++i) ++part_rows[hashes[i] >> kPidShift];
-
-  // Hybrid rule: the greedy ascending-pid prefix stays in memory while it
-  // fits half the budget; everything else streams to the store.
-  std::vector<uint8_t> in_mem(kFanout, 0);
-  size_t kept_bytes = 0;
-  int64_t spilled_parts = 0;
-  for (int p = 0; p < kFanout; ++p) {
-    const size_t bytes_p = part_rows[p] * stride;
-    if (bytes_p == 0) continue;
-    if (kept_bytes + bytes_p <= mem_limit / 2) {
-      in_mem[p] = 1;
-      kept_bytes += bytes_p;
-    } else {
-      ++spilled_parts;
-    }
-  }
-
-  // Serial scatter in input order: every partition holds its rows in
-  // ascending global order whether it stays resident or streams out in
-  // chunks, so per-group float SUM accumulates exactly like one thread.
-  const int pass0 = spill.NewPass();
-  const size_t chunk_rows =
-      std::max<size_t>(1, quota / (static_cast<size_t>(stride) * kFanout));
-  std::vector<RowVectorPtr> mem_parts(kFanout);
-  std::vector<std::vector<uint32_t>> mem_idx(kFanout);
-  std::vector<RowVectorPtr> stage(kFanout);
-  std::vector<std::vector<uint32_t>> stage_idx(kFanout);
-  for (size_t i = 0; i < n; ++i) {
-    const int p = static_cast<int>(hashes[i] >> kPidShift);
-    if (in_mem[p]) {
-      if (mem_parts[p] == nullptr) {
-        mem_parts[p] = RowVector::Make(schema);
-        mem_parts[p]->Reserve(part_rows[p]);
-        mem_idx[p].reserve(part_rows[p]);
-      }
-      mem_parts[p]->AppendRaw(input->data() + i * stride);
-      mem_idx[p].push_back(static_cast<uint32_t>(i));
-      continue;
-    }
-    if (stage[p] == nullptr) stage[p] = RowVector::Make(schema);
-    stage[p]->AppendRaw(input->data() + i * stride);
-    stage_idx[p].push_back(static_cast<uint32_t>(i));
-    if (stage[p]->size() >= chunk_rows) {
-      MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass0, p, stage[p]->data(),
-                                               stage[p]->size(), stride,
-                                               stage_idx[p].data()));
-      stage[p]->Clear();
-      stage_idx[p].clear();
-    }
-  }
-  for (int p = 0; p < kFanout; ++p) {
-    if (stage[p] != nullptr && !stage[p]->empty()) {
-      MODULARIS_RETURN_NOT_OK(spill.WriteChunk(pass0, p, stage[p]->data(),
-                                               stage[p]->size(), stride,
-                                               stage_idx[p].data()));
-    }
-  }
-  stage.clear();
-  stage_idx.clear();
-  AddStatCounter("spill.partitions", spilled_parts);
-  AddStatCounter("spill.passes", 1);
-  std::vector<uint64_t>().swap(hashes);
-  input.reset();  // drop our reference to the drained input
-
-  // Aggregate partitions in ascending pid order; each yields one group
-  // run ascending by global first-occurrence index.
-  SpillScratch scratch;
-  std::vector<AggRun> runs;
-  for (int p = 0; p < kFanout; ++p) {
-    if (part_rows[p] == 0) continue;
-    AggRun run;
-    run.states = RowVector::Make(out_schema_);
-    if (in_mem[p]) {
-      AggregatePartition(mem_parts[p]->data(), mem_parts[p]->size(), schema,
-                         mem_idx[p].data(), run.states.get(), &run.first,
-                         &scratch.map, &scratch.table, &scratch.keys,
-                         &scratch.hashes);
-      mem_parts[p].reset();
-      std::vector<uint32_t>().swap(mem_idx[p]);
-    } else {
-      MODULARIS_RETURN_NOT_OK(AggregateSpilledPartition(
-          &spill, pass0, p, kPidShift, part_rows[p], schema, &run, &scratch));
-    }
-    runs.push_back(std::move(run));
-  }
-
-  // The phase-4 merge over the partition runs: groups emit in global
-  // first-occurrence order, exactly like the in-memory paths.
-  MergeAggRuns(&runs, states_.get(), nullptr);
+  AggRun run;
+  const size_t rows = input->size();
+  MODULARIS_RETURN_NOT_OK(AggregateHybrid(&spill, &input, -1, -1, rows,
+                                          64 - kPartitionBits, schema, &run));
+  if (spill.bytes_written() > 0) AddStatCounter("spill.ops.ReduceByKey", 1);
+  states_ = std::move(run.states);
   return Status::OK();
 }
 
-Status ReduceByKey::AggregateSpilledPartition(storage::SpillSet* spill,
-                                              int pass, int pid, int shift,
-                                              size_t part_rows,
-                                              const Schema& schema,
-                                              AggRun* out,
-                                              SpillScratch* scratch) {
+Status ReduceByKey::AggregateHybrid(storage::SpillSet* spill,
+                                    RowVectorPtr* input, int pass, int pid,
+                                    size_t rows, int shift,
+                                    const Schema& schema, AggRun* out) {
   if (ctx_->cancel != nullptr) MODULARIS_RETURN_NOT_OK(ctx_->cancel->Check());
-  const size_t quota = SpillQuotaBytes(ctx_->options.memory_limit_bytes);
-  const uint32_t stride = schema.row_size();
   constexpr int kFanout = 1 << kPartitionBits;
-
-  if (part_rows * stride <= quota) {
-    // Fits the quota: read the partition back whole (chunks concatenate
-    // in global input order) and aggregate it in one shot.
-    RowVectorPtr part = RowVector::Make(schema);
-    part->Reserve(part_rows);
-    std::vector<uint32_t> idx;
-    idx.reserve(part_rows);
-    MODULARIS_RETURN_NOT_OK(spill->ReadPartition(pass, pid, part.get(), &idx));
-    AggregatePartition(part->data(), part->size(), schema, idx.data(),
-                       out->states.get(), &out->first, &scratch->map,
-                       &scratch->table, &scratch->keys, &scratch->hashes);
-    spill->DeletePartition(pass, pid);
-    return Status::OK();
-  }
-
-  if (shift < kPartitionBits) {
-    // Hash exhausted: a partition every window maps to one id (a single
-    // hot key, practically). Stream the chunks through one accumulating
-    // table — its states are bounded by the partition's distinct keys,
-    // which is the operator's own irreducible output.
-    const int chunks = spill->NumChunks(pass, pid);
-    RowVectorPtr chunk = RowVector::Make(schema);
-    std::vector<uint32_t> idx;
-    bool reset = true;
-    for (int c = 0; c < chunks; ++c) {
-      chunk->Clear();
-      idx.clear();
-      MODULARIS_RETURN_NOT_OK(
-          spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
-      AggregatePartition(chunk->data(), chunk->size(), schema, idx.data(),
-                         out->states.get(), &out->first, &scratch->map,
-                         &scratch->table, &scratch->keys, &scratch->hashes,
-                         /*reset_tables=*/reset);
-      reset = false;
-    }
-    spill->DeletePartition(pass, pid);
-    return Status::OK();
-  }
-
-  // Recursive pass: re-scatter by the next 8-bit hash window into a
-  // fresh pass namespace, aggregate the sub-partitions ascending, and
-  // merge their runs (each ascending by first index) into this
-  // partition's run.
-  const int sub_shift = shift - kPartitionBits;
+  const size_t mem_limit = ctx_->options.memory_limit_bytes;
+  const uint32_t stride = schema.row_size();
+  const uint32_t ks = single_i64_key_ ? 0 : codec_.key_size();
+  // Slot bytes include one byte of the resident filter below.
+  const size_t cap =
+      shift < 0 ? std::numeric_limits<size_t>::max()
+                : ResidentGroupCap(
+                      mem_limit,
+                      1 + (single_i64_key_ ? I64StateMap::SlotBytes()
+                                           : ByteStateTable::SlotBytes()),
+                      out_schema_.row_size() + sizeof(uint32_t) +
+                          ByteStateTable::ArenaBytes(ks));
+  // One bit per hash over the resident groups, 8 bits per table slot.
+  // Once the table is full, most rows of non-resident groups fail this
+  // test instead of a table probe, whose miss walks ~6 slots at load 0.7.
+  const size_t filter_bits =
+      shift < 0 ? 0
+                : 8 * std::bit_ceil(std::max<size_t>(8, std::min(cap, rows)));
+  const size_t chunk_rows = std::max<size_t>(
+      1, SpillQuotaBytes(mem_limit) / (static_cast<size_t>(stride) * kFanout));
   const int sub_pass = spill->NewPass();
-  AddStatCounter("spill.passes", 1);
-  const size_t chunk_rows =
-      std::max<size_t>(1, quota / (static_cast<size_t>(stride) * kFanout));
   std::vector<size_t> sub_rows(kFanout, 0);
+  AggRun resident;
+  resident.states = RowVector::Make(out_schema_);
   {
-    const int chunks = spill->NumChunks(pass, pid);
-    RowVectorPtr chunk = RowVector::Make(schema);
-    std::vector<uint32_t> idx;
-    std::vector<uint64_t> hashes;
+    I64StateMap map;
+    ByteStateTable table;
+    if (single_i64_key_) {
+      map.Reserve(std::min(cap, rows));
+    } else {
+      table.Reserve(std::min(cap, rows));
+    }
+    std::vector<uint64_t> filter(filter_bits / 64);
     std::vector<RowVectorPtr> stage(kFanout);
     std::vector<std::vector<uint32_t>> stage_idx(kFanout);
-    for (int c = 0; c < chunks; ++c) {
-      chunk->Clear();
-      idx.clear();
-      MODULARIS_RETURN_NOT_OK(
-          spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
-      ComputeKeyHashes(chunk->data(), chunk->size(), schema, &hashes);
-      for (size_t i = 0; i < chunk->size(); ++i) {
-        const int sp =
-            static_cast<int>((hashes[i] >> sub_shift) & (kFanout - 1));
-        ++sub_rows[sp];
-        if (stage[sp] == nullptr) stage[sp] = RowVector::Make(schema);
-        stage[sp]->AppendRaw(chunk->data() + i * stride);
-        stage_idx[sp].push_back(idx[i]);
-        if (stage[sp]->size() >= chunk_rows) {
-          MODULARIS_RETURN_NOT_OK(spill->WriteChunk(
-              sub_pass, sp, stage[sp]->data(), stage[sp]->size(), stride,
-              stage_idx[sp].data()));
-          stage[sp]->Clear();
-          stage_idx[sp].clear();
+    auto flush = [&](int sp) -> Status {
+      Status st = spill->WriteChunk(sub_pass, sp, stage[sp]->data(),
+                                    stage[sp]->size(), stride,
+                                    stage_idx[sp].data());
+      stage[sp]->Clear();
+      stage_idx[sp].clear();
+      return st;
+    };
+    std::vector<uint8_t> keys(kKeyChunkRows * ks);
+    std::vector<uint64_t> hashes(kKeyChunkRows);
+    // Rows [data, data + n·stride) with global indices idx (null: 0..n).
+    auto consume = [&](const uint8_t* data, size_t n,
+                       const uint32_t* idx) -> Status {
+      for (size_t base = 0; base < n; base += kKeyChunkRows) {
+        const size_t m = std::min(n - base, kKeyChunkRows);
+        if (!single_i64_key_) {
+          RowSpan span{data, stride, &schema};
+          if (key_prog_.valid()) {
+            key_prog_.SerializeAndHash(span, base, m, keys.data(),
+                                       hashes.data());
+          } else {
+            codec_.SerializeKeys(span, base, m, keys.data());
+            HashKeysSpan(keys.data(), m, ks, hashes.data());
+          }
+        }
+        for (size_t i = 0; i < m; ++i) {
+          const uint8_t* p = data + (base + i) * stride;
+          const uint32_t gi = idx != nullptr
+                                  ? idx[base + i]
+                                  : static_cast<uint32_t>(base + i);
+          int64_t key = 0;
+          if (single_i64_key_) {
+            key = KeyAt(RowRef(p, &schema), key_cols_[0]);
+            hashes[i] = MixHash64(static_cast<uint64_t>(key));
+          }
+          const uint64_t hash = hashes[i];
+          const size_t bit = hash & (filter_bits - 1);
+          bool inserted = false;
+          uint32_t state = 0;
+          if (resident.first.size() < cap) {
+            state = single_i64_key_
+                        ? map.FindOrInsert(key, &inserted)
+                        : table.FindOrInsert(keys.data() + i * ks, ks, hash,
+                                             &inserted);
+            if (inserted && filter_bits != 0) {
+              filter[bit / 64] |= uint64_t{1} << (bit % 64);
+            }
+          } else if ((filter[bit / 64] >> (bit % 64) & 1) == 0 ||
+                     !(single_i64_key_
+                           ? map.Find(key, &state)
+                           : table.Find(keys.data() + i * ks, ks, hash,
+                                        &state))) {
+            // The table is full and this row's group is not in it.
+            const int sp = static_cast<int>((hash >> shift) & (kFanout - 1));
+            ++sub_rows[sp];
+            if (stage[sp] == nullptr) stage[sp] = RowVector::Make(schema);
+            stage[sp]->AppendRaw(p);
+            stage_idx[sp].push_back(gi);
+            if (stage[sp]->size() >= chunk_rows) {
+              MODULARIS_RETURN_NOT_OK(flush(sp));
+            }
+            continue;
+          }
+          RowRef row(p, &schema);
+          if (inserted) {
+            InitState(resident.states.get(), row);
+            resident.first.push_back(gi);
+          }
+          UpdateStateRow(resident.states->mutable_row(state), row);
         }
       }
+      return Status::OK();
+    };
+
+    if (input != nullptr) {
+      MODULARIS_RETURN_NOT_OK(consume((*input)->data(), rows, nullptr));
+      input->reset();  // drop our reference to the drained input
+    } else {
+      RowVectorPtr chunk = RowVector::Make(schema);
+      std::vector<uint32_t> idx;
+      for (int c = 0; c < spill->NumChunks(pass, pid); ++c) {
+        chunk->Clear();
+        idx.clear();
+        MODULARIS_RETURN_NOT_OK(
+            spill->ReadChunk(pass, pid, c, chunk.get(), &idx));
+        MODULARIS_RETURN_NOT_OK(
+            consume(chunk->data(), chunk->size(), idx.data()));
+      }
+      spill->DeletePartition(pass, pid);
     }
     for (int sp = 0; sp < kFanout; ++sp) {
       if (stage[sp] != nullptr && !stage[sp]->empty()) {
-        MODULARIS_RETURN_NOT_OK(spill->WriteChunk(
-            sub_pass, sp, stage[sp]->data(), stage[sp]->size(), stride,
-            stage_idx[sp].data()));
+        MODULARIS_RETURN_NOT_OK(flush(sp));
       }
     }
-  }
-  spill->DeletePartition(pass, pid);
-  int64_t sub_parts = 0;
-  for (int sp = 0; sp < kFanout; ++sp) {
-    if (sub_rows[sp] > 0) ++sub_parts;
-  }
-  AddStatCounter("spill.partitions", sub_parts);
+  }  // the resident table and staging are freed before recursing
 
-  std::vector<AggRun> sub_runs;
+  std::vector<AggRun> runs;
+  runs.push_back(std::move(resident));
   for (int sp = 0; sp < kFanout; ++sp) {
     if (sub_rows[sp] == 0) continue;
     AggRun run;
-    run.states = RowVector::Make(out_schema_);
-    MODULARIS_RETURN_NOT_OK(AggregateSpilledPartition(
-        spill, sub_pass, sp, sub_shift, sub_rows[sp], schema, &run, scratch));
-    sub_runs.push_back(std::move(run));
+    MODULARIS_RETURN_NOT_OK(AggregateHybrid(spill, nullptr, sub_pass, sp,
+                                            sub_rows[sp],
+                                            shift - kPartitionBits, schema,
+                                            &run));
+    runs.push_back(std::move(run));
   }
-  MergeAggRuns(&sub_runs, out->states.get(), &out->first);
+  if (runs.size() == 1) {
+    *out = std::move(runs[0]);
+    return Status::OK();
+  }
+  AddStatCounter("spill.passes", 1);
+  AddStatCounter("spill.partitions", static_cast<int64_t>(runs.size() - 1));
+  out->states = RowVector::Make(out_schema_);
+  MergeAggRuns(&runs, out->states.get(), &out->first);
   return Status::OK();
 }
 

@@ -32,7 +32,13 @@ class I64StateMap {
  public:
   /// Returns the state index for `key`; sets `*inserted` if it was new.
   uint32_t FindOrInsert(int64_t key, bool* inserted);
+  /// Read-only lookup: true (and `*state`) when `key` is present.
+  bool Find(int64_t key, uint32_t* state) const;
   size_t size() const { return size_; }
+  /// Bytes of one slot (key + state index + occupancy byte).
+  static constexpr size_t SlotBytes() {
+    return sizeof(int64_t) + sizeof(uint32_t) + sizeof(uint8_t);
+  }
   void Clear();
 
   /// Pre-sizes the table for up to `keys` distinct keys (capacity kept
@@ -76,7 +82,16 @@ class ByteStateTable {
   /// HashKeyBytes(key, len). Sets `*inserted` if the key was new.
   uint32_t FindOrInsert(const uint8_t* key, uint32_t len, uint64_t hash,
                         bool* inserted);
+  /// Read-only lookup: true (and `*state`) when the key is present.
+  bool Find(const uint8_t* key, uint32_t len, uint64_t hash,
+            uint32_t* state) const;
   size_t size() const { return size_; }
+  /// Bytes of one slot, and the overflow-arena bytes one `len`-byte key
+  /// adds on top of it.
+  static constexpr size_t SlotBytes() { return sizeof(Slot); }
+  static constexpr size_t ArenaBytes(uint32_t len) {
+    return len > kInlineBytes ? len : 0;
+  }
   void Clear();
   /// Pre-sizes for up to `keys` distinct keys (see I64StateMap::Reserve).
   void Reserve(size_t keys);
@@ -191,19 +206,15 @@ class ReduceByKey : public SubOperator {
   void UpdateStateRow(uint8_t* dst, const RowRef& row) const;
   /// Aggregates the rows of one key partition (ascending original order)
   /// into `states`, recording each new group's global first-occurrence
-  /// index. `map`/`table` are the caller's reusable scratch tables. With
-  /// `reset_tables` false the call continues accumulating into the live
-  /// tables/states — the chunk-streaming path for a spilled partition
-  /// that no remaining hash window can split (one hot key).
+  /// index. `map`/`table` are the caller's reusable scratch tables.
   void AggregatePartition(const uint8_t* rows, size_t n, const Schema& schema,
                           const uint32_t* idx, RowVector* states,
                           std::vector<uint32_t>* first, I64StateMap* map,
                           ByteStateTable* table,
                           std::vector<uint8_t>* key_scratch,
-                          std::vector<uint64_t>* hash_scratch,
-                          bool reset_tables = true) const;
+                          std::vector<uint64_t>* hash_scratch) const;
 
-  // -- Grace-style spill path (docs/DESIGN-memory.md) -----------------------
+  // -- Hybrid hash spill path (docs/DESIGN-memory.md) -----------------------
 
   /// A run of aggregated groups: the group states plus each group's
   /// global first-occurrence index, both ascending by that index.
@@ -211,30 +222,23 @@ class ReduceByKey : public SubOperator {
     RowVectorPtr states;
     std::vector<uint32_t> first;
   };
-  /// Reusable scratch threaded through the spill recursion.
-  struct SpillScratch {
-    I64StateMap map;
-    ByteStateTable table;
-    std::vector<uint8_t> keys;
-    std::vector<uint64_t> hashes;
-  };
-  /// The partition hash of every row — the same key hash the in-memory
-  /// partition pass uses, so a key lands in one partition at every pass.
-  void ComputeKeyHashes(const uint8_t* rows, size_t n, const Schema& schema,
-                        std::vector<uint64_t>* hashes) const;
-  /// Budget-forced degradation: hash-partition the drained input 256 ways
-  /// (greedy ascending-pid prefix stays in memory, the rest spills to the
-  /// blob store), aggregate the partitions one at a time, and merge their
-  /// group runs back into global first-occurrence order — byte-equal to
-  /// the in-memory path at any budget and thread count.
+  /// Budget-forced degradation: hybrid hash aggregation of the drained
+  /// input (AggregateHybrid from level 0), byte-equal to the in-memory
+  /// paths at any budget and thread count.
   Status ConsumeAllSpill(RowVectorPtr input);
-  /// Aggregates one spilled partition into `out`: read-back when it fits
-  /// the quota, recursion by the next 8-bit hash window when it does not,
-  /// chunk-streaming once the hash is exhausted (a single hot key).
-  Status AggregateSpilledPartition(storage::SpillSet* spill, int pass,
-                                   int pid, int shift, size_t part_rows,
-                                   const Schema& schema, AggRun* out,
-                                   SpillScratch* scratch);
+  /// One level of the hybrid hash aggregation. Rows stream in ascending
+  /// global-index order — the drained `*input` at level 0 (released once
+  /// scanned), else the chunks of spilled partition (pass, pid) holding
+  /// `rows` rows — through a fresh group table capped at
+  /// ResidentGroupCap groups. A resident group updates in place, a new
+  /// group is admitted while the table has room, and every other row
+  /// goes to spill partition (hash >> shift) & 255 of a new pass. Each
+  /// spilled partition is then aggregated one hash window down, and the
+  /// runs merge into `out` by first-occurrence index. `shift` < 0 means
+  /// no window remains, so the cap is lifted.
+  Status AggregateHybrid(storage::SpillSet* spill, RowVectorPtr* input,
+                         int pass, int pid, size_t rows, int shift,
+                         const Schema& schema, AggRun* out);
   /// K-way merge of group runs by ascending first-occurrence index
   /// (the phase-4 merge generalized to arbitrary runs). `first_out` may
   /// be null when the caller does not need the merged index run.

@@ -351,6 +351,26 @@ LogicalPlanPtr Q19Logical() {
 
 std::atomic<uint64_t> g_run_counter{0};
 
+/// Deletes every object under one query's `q-run<N>/` prefix (serverless
+/// exchange partitions, worker result files) when the query returns,
+/// failed or not. Like SpillSet cleanup it calls the store directly, past
+/// the retry policy, the fault injector and the cost model, so cleanup
+/// can neither fail nor add modelled time.
+class RunObjectsCleanup {
+ public:
+  RunObjectsCleanup(storage::BlobStore* store, std::string prefix)
+      : store_(store), prefix_(std::move(prefix)) {}
+  RunObjectsCleanup(const RunObjectsCleanup&) = delete;
+  RunObjectsCleanup& operator=(const RunObjectsCleanup&) = delete;
+  ~RunObjectsCleanup() {
+    for (const std::string& key : store_->List(prefix_)) store_->Delete(key);
+  }
+
+ private:
+  storage::BlobStore* store_;
+  std::string prefix_;
+};
+
 /// Adapter installing a per-rank storage client into the ExecContext
 /// before opening the wrapped plan (the RDMA-with-disc configuration
 /// reads base tables through an NFS-profile client).
@@ -572,6 +592,7 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
   env.world = opts.world_size;
   env.exec = opts.exec;
   env.tag = "q-run" + std::to_string(g_run_counter.fetch_add(1));
+  const RunObjectsCleanup cleanup(ctx.store.get(), env.tag + "/");
 
   // Rank/worker plan factory: identical structure on every rank.
   auto make_plan = [&spec, env](int worker) -> SubOpPtr {

@@ -67,6 +67,33 @@ TEST(MemoryBudgetTest, AdmissionRulesArePureFunctions) {
   EXPECT_EQ(SpillQuotaBytes(0), 0u);
 }
 
+TEST(MemoryBudgetTest, ResidentGroupCapFillsTheStateHalf) {
+  // 8KB: half is 4096 bytes; 64 slots * 14 + 44 groups * 28 = 2128 fits,
+  // 128 slots * 14 + 89 * 28 = 4284 does not.
+  EXPECT_EQ(ResidentGroupCap(8 << 10, 14, 28), 44u);
+  EXPECT_EQ(ResidentGroupCap(64, 14, 28), 1u);  // at least one group
+
+  // The cap is the key count the table holds at its slot count without
+  // growing: filling a table reserved for it never rehashes, and its
+  // slots plus the group states fit half the budget.
+  const size_t limit = size_t{8} << 20;
+  const size_t group_bytes = 28;
+  const size_t cap =
+      ResidentGroupCap(limit, I64StateMap::SlotBytes(), group_bytes);
+  I64StateMap map;
+  map.Reserve(cap);
+  bool inserted = false;
+  for (size_t k = 0; k < cap; ++k) {
+    map.FindOrInsert(static_cast<int64_t>(k), &inserted);
+  }
+  EXPECT_EQ(map.rehashes(), 0);
+  EXPECT_LE(map.byte_size() + cap * group_bytes, limit / 2);
+  uint32_t state = 0;
+  EXPECT_TRUE(map.Find(static_cast<int64_t>(cap - 1), &state));
+  EXPECT_EQ(state, cap - 1);
+  EXPECT_FALSE(map.Find(static_cast<int64_t>(cap), &state));
+}
+
 TEST(MemoryBudgetTest, ScopedChargeReleasesOnDestruction) {
   MemoryBudget budget(0);
   {
@@ -261,6 +288,150 @@ TEST(SpillAggTest, OversizedPartitionsRecurse) {
   }
   ExpectBytesEqual(*expected, *actual);
   EXPECT_GE(run.stats.GetCounter("spill.passes"), 2);
+  EXPECT_TRUE(run.store.List("spill/").empty());
+}
+
+/// String-key rows {k: "k<n>", v: f64}: n uniform in [0, groups), v
+/// uniform in [-1000, 1000) so float SUMs depend on accumulation order.
+RowVectorPtr MakeStrF64(int64_t rows, int64_t groups, uint32_t seed) {
+  RowVectorPtr data =
+      RowVector::Make(Schema({Field::Str("k", 12), Field::F64("v")}));
+  data->Reserve(rows);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int64_t> dist(0, groups - 1);
+  std::uniform_real_distribution<double> fdist(-1000.0, 1000.0);
+  for (int64_t i = 0; i < rows; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetString(0, "k" + std::to_string(dist(rng)));
+    w.SetFloat64(1, fdist(rng));
+  }
+  return data;
+}
+
+std::vector<AggSpec> SumF64CountAggs() {
+  std::vector<AggSpec> aggs;
+  aggs.push_back(AggSpec{AggKind::kSum, ex::Col(1), "s", AtomType::kFloat64});
+  aggs.push_back(AggSpec{AggKind::kCount, nullptr, "c", AtomType::kInt64});
+  return aggs;
+}
+
+/// Aggregates `data` by column 0 unlimited and at `limit`, at 1 and 4
+/// threads; every budgeted output must be byte-equal to the unlimited
+/// one and leave no spill file. `check` inspects each budgeted run.
+template <typename CheckFn>
+void ExpectBudgetedAggByteEqual(const RowVectorPtr& data,
+                                std::vector<AggSpec> (*aggs)(), size_t limit,
+                                CheckFn check) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    RowVectorPtr expected;
+    {
+      BudgetedRun run(0);
+      run.ctx.options.num_threads = threads;
+      ReduceByKey rk(ScanOf(data), {0}, aggs(), data->schema());
+      ASSERT_TRUE(
+          DrainBatches(&rk, &run.ctx, rk.out_schema(), &expected).ok());
+    }
+    BudgetedRun run(limit);
+    run.ctx.options.num_threads = threads;
+    RowVectorPtr actual;
+    {
+      ReduceByKey rk(ScanOf(data), {0}, aggs(), data->schema());
+      Status st = DrainBatches(&rk, &run.ctx, rk.out_schema(), &actual);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    ExpectBytesEqual(*expected, *actual);
+    EXPECT_TRUE(run.store.List("spill/").empty()) << "spill files leaked";
+    check(run);
+  }
+}
+
+TEST(SpillAggTest, FewGroupsStayResidentAndNeverSpill) {
+  // Q1's shape: 4 string-key groups with f64 SUMs. The input is far past
+  // limit/2, so the in-memory path is denied, but the 4 groups fit the
+  // resident table and no row reaches the store.
+  RowVectorPtr data = MakeStrF64(1 << 16, 4, 47);
+  ExpectBudgetedAggByteEqual(
+      data, SumF64CountAggs, 64 << 10, [](const BudgetedRun& run) {
+        EXPECT_GE(run.budget.denials(), 1);
+        EXPECT_EQ(run.stats.GetCounter("spill.bytes"), 0);
+        EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 0);
+      });
+}
+
+TEST(SpillAggTest, HighCardinalityOverflowsOnBothTables) {
+  // Far more groups than the resident cap at both levels, so overflow
+  // spills and the spilled partitions overflow again one window down.
+  auto expect_recursive_spill = [](const BudgetedRun& run) {
+    EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
+    EXPECT_GT(run.stats.GetCounter("spill.partitions"), 0);
+    EXPECT_GE(run.stats.GetCounter("spill.passes"), 2);
+    EXPECT_EQ(run.stats.GetCounter("spill.ops.ReduceByKey"), 1);
+  };
+  {
+    SCOPED_TRACE("i64 key table");
+    ExpectBudgetedAggByteEqual(MakeKv(1 << 16, 1 << 16, 53), SumCountAggs,
+                               8 << 10, expect_recursive_spill);
+  }
+  {
+    SCOPED_TRACE("byte key table");
+    ExpectBudgetedAggByteEqual(MakeStrF64(1 << 16, 1 << 16, 59),
+                               SumF64CountAggs, 16 << 10,
+                               expect_recursive_spill);
+  }
+}
+
+TEST(SpillAggTest, LateHotKeySpillsOnce) {
+  // Distinct keys fill the resident table, then one new key repeats
+  // 100k times. Its rows spill once and the key is resident one window
+  // down, so the store sees about the input once — a row-level scatter
+  // would rewrite the hot partition once per remaining hash window.
+  RowVectorPtr data = RowVector::Make(KeyValueSchema());
+  for (int64_t i = 0; i < 104000; ++i) {
+    RowWriter w = data->AppendRow();
+    w.SetInt64(0, i < 4000 ? i : int64_t{1} << 40);
+    w.SetInt64(1, i);
+  }
+  const int64_t input_bytes = static_cast<int64_t>(data->byte_size());
+  ExpectBudgetedAggByteEqual(
+      data, SumCountAggs, 64 << 10, [&](const BudgetedRun& run) {
+        EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
+        EXPECT_LT(run.stats.GetCounter("spill.bytes"), 2 * input_bytes);
+      });
+}
+
+TEST(SpillAggTest, MultiBatchInputOutlivesItsRelease) {
+  // Two batches make the drained input operator-owned (a copy, not the
+  // source's vector), so it — and its schema — die when the spill path
+  // releases it, before the spilled partitions are read back.
+  RowVectorPtr data = MakeKv(1 << 15, 1 << 12, 61);
+  const size_t half = data->size() / 2;
+  RowVectorPtr first = RowVector::Make(KeyValueSchema());
+  RowVectorPtr second = RowVector::Make(KeyValueSchema());
+  first->AppendRawBatch(data->data(), half);
+  second->AppendRawBatch(data->row(half).data(), data->size() - half);
+  auto make = [&] {
+    return ReduceByKey(std::make_unique<RowScan>(
+                           std::make_unique<CollectionSource>(
+                               std::vector<RowVectorPtr>{first, second})),
+                       {0}, SumCountAggs(), KeyValueSchema());
+  };
+
+  RowVectorPtr expected;
+  {
+    BudgetedRun run(0);
+    ReduceByKey rk = make();
+    ASSERT_TRUE(
+        DrainBatches(&rk, &run.ctx, rk.out_schema(), &expected).ok());
+  }
+  BudgetedRun run(64 << 10);
+  RowVectorPtr actual;
+  {
+    ReduceByKey rk = make();
+    ASSERT_TRUE(DrainBatches(&rk, &run.ctx, rk.out_schema(), &actual).ok());
+  }
+  ExpectBytesEqual(*expected, *actual);
+  EXPECT_GT(run.stats.GetCounter("spill.bytes"), 0);
   EXPECT_TRUE(run.store.List("spill/").empty());
 }
 
@@ -588,6 +759,34 @@ TEST(TpchMemoryTest, BudgetedQueriesMatchUnlimitedByteForByte) {
     EXPECT_GT(sort_spills, 0) << "no sort spilled at " << threads
                               << " threads";
   }
+}
+
+/// Q18 on 4 Lambda workers at 8 MiB each. At scale factor 0.3 each
+/// worker's aggregation input passes limit/2 and overflow groups spill
+/// through S3. That input is drained from many scan batches, so the
+/// operator owns it and frees it (and its schema) mid-spill.
+TEST(TpchMemoryTest, LambdaQ18AtEightMiBMatchesUnlimited) {
+  GeneratorOptions gen;
+  gen.scale_factor = 0.3;
+  gen.seed = 7;
+  const TpchTables db = GenerateTpch(gen);
+  TpchRunOptions base = Unthrottled(TpchRunOptions::Lambda(4));
+  base.exec.num_threads = 4;
+  auto ctx = PrepareTpch(db, base);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+
+  StatsRegistry ref_stats;
+  auto expected = RunTpchQuery(18, **ctx, base, &ref_stats);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  TpchRunOptions budgeted = base;
+  budgeted.exec.memory_limit_bytes = size_t{8} << 20;
+  StatsRegistry stats;
+  auto result = RunTpchQuery(18, **ctx, budgeted, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectResultBytesEqual(**expected, **result);
+  EXPECT_GT(stats.GetCounter("spill.ops.ReduceByKey"), 0);
+  EXPECT_TRUE((*ctx)->store->List("spill/").empty());
 }
 
 TEST(TpchMemoryTest, UnsatisfiableBudgetFailsFastAndClean) {

@@ -227,6 +227,31 @@ TEST(TpchQueryTest, S3TransientFailuresAreRetried) {
   ExpectRowsEqual(**expected, **result);
 }
 
+TEST(TpchQueryTest, LambdaQueriesLeaveNoRunObjects) {
+  // Exchange partitions and worker result files live under the query's
+  // q-run<N>/ prefix and are deleted when the query returns — also when
+  // injected S3 faults with no retry budget fail it midway.
+  TpchRunOptions opts = Unthrottled(TpchRunOptions::Lambda(4));
+  opts.exec.network_radix_bits = 4;
+  auto ctx = PrepareTpch(Db(), opts);
+  ASSERT_TRUE(ctx.ok());
+  StatsRegistry stats;
+  auto result = RunTpchQuery(12, **ctx, opts, &stats);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE((*ctx)->store->List("q-run").empty());
+
+  TpchRunOptions faulty = opts;
+  faulty.storage.fault.transient_failure_rate = 0.05;
+  faulty.exec.retry.max_retries = 0;
+  faulty.exec.retry.sleep = false;
+  const int64_t puts_before = (*ctx)->store->num_puts();
+  auto failed = RunTpchQuery(12, **ctx, faulty, nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_GT((*ctx)->store->num_puts(), puts_before)
+      << "the failed query wrote no object before it failed";
+  EXPECT_TRUE((*ctx)->store->List("q-run").empty());
+}
+
 TEST(TpchGeneratorTest, DeterministicAcrossRuns) {
   GeneratorOptions gen;
   gen.scale_factor = 0.001;

@@ -117,8 +117,9 @@ WIN_GATES = [
     # armed far above the input (accounting charges run, admission never
     # trips, nothing spills), the aggregation must stay within 3% of the
     # plain t4 entry. The spilling entries (groupby_1m_int_g64k_spill,
-    # join_spill_1m) are reported but not gated — spill throughput tracks
-    # the modelled blob-store bandwidth, not engine regressions.
+    # groupby_1m_str_g4_spill, join_spill_1m) are reported but not gated —
+    # spill throughput tracks the modelled blob-store bandwidth, not
+    # engine regressions.
     ("groupby_1m_int_g64k_budgetarmed_t4", True, "groupby_1m_int_g64k_t4",
      True, 0.97, 4),
 ]
