@@ -206,8 +206,9 @@ void BenchExprFilterEval() {
   });
 }
 
-/// Selectivity sweep: interpreted per-row EvalBool vs the batch predicate
-/// kernel (selection-vector narrowing) at 1% / 50% / 99% pass rates.
+/// Selectivity sweep: interpreted per-row EvalBool vs the compiled
+/// predicate program (selection-vector narrowing through the fused range
+/// opcode) at 1% / 50% / 99% pass rates.
 void BenchFilterSelectivity() {
   RowVectorPtr data = MakeKv(1 << 20, 1000);
   struct Point {
@@ -218,7 +219,7 @@ void BenchFilterSelectivity() {
                          Point{"p99", 990}}) {
     ExprPtr pred = ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{0})),
                            ex::Lt(ex::Col(0), ex::Lit(p.bound)));
-    size_t interp_matches = 0, batch_matches = 0;
+    size_t interp_matches = 0;
     RunBench(std::string("expr_filter_interp_") + p.name, data->size(),
              data->byte_size(), 0, [&] {
                size_t matches = 0;
@@ -227,35 +228,9 @@ void BenchFilterSelectivity() {
                }
                interp_matches = matches;
              });
-    BatchScratch scratch;
-    SelVector sel;
-    RunBench(std::string("expr_filter_batch_") + p.name, data->size(),
-             data->byte_size(), 1, [&] {
-               RowSpan span{data->data(), data->row_size(), &data->schema()};
-               size_t matches = 0;
-               for (size_t base = 0; base < data->size();
-                    base += RowBatch::kDefaultRows) {
-                 size_t n = std::min(data->size() - base,
-                                     RowBatch::kDefaultRows);
-                 sel.resize(n);
-                 for (size_t i = 0; i < n; ++i) {
-                   sel[i] = static_cast<uint32_t>(base + i);
-                 }
-                 Status st = pred->FilterBatch(span, &sel, &scratch);
-                 if (!st.ok()) std::abort();
-                 matches += sel.size();
-               }
-               batch_matches = matches;
-             });
-    if (interp_matches != batch_matches) {
-      std::fprintf(stderr, "FAIL: filter %s mismatch (%zu vs %zu)\n", p.name,
-                   interp_matches, batch_matches);
-      std::exit(1);
-    }
-    // The compiled tier: fused comparison/range opcodes over the same
-    // predicate, batch-sized runs like the interpreted kernel above.
     BcProgram prog = BcProgram::CompileFilter(pred, data->schema());
     BcState state;
+    SelVector sel;
     size_t bc_matches = 0;
     RunBench(std::string("expr_bytecode_filter_") + p.name, data->size(),
              data->byte_size(), 1, [&] {
@@ -366,8 +341,8 @@ void BenchFilterMap() {
                  rows_off, rows_on);
     std::exit(1);
   }
-  std::printf("filter_map speedup: %.2fx (batch kernels vs interpreted "
-              "per-row, %zu result rows)\n",
+  std::printf("filter_map speedup: %.2fx (vectorized vs row-at-a-time, "
+              "%zu result rows)\n",
               off.seconds / on.seconds, rows_on);
 }
 
@@ -535,9 +510,9 @@ void BenchJoinSpill() {
            [&] { run_one(limit, nullptr); });
 }
 
-/// Thread-scaling sweep (1/2/4/8 workers) for the three hot pipelines the
-/// ISSUE gates: the partition→build→probe plan, ReduceByKey, and the p50
-/// batch filter kernel. Entries are named <op>_t<N> and carry a
+/// Thread-scaling sweep (1/2/4/8 workers) for three hot pipelines: the
+/// partition→build→probe plan, ReduceByKey, and the p50 bytecode filter
+/// program. Entries are named <op>_t<N> and carry a
 /// "threads" field; the committed single-thread entries stay untouched so
 /// old baselines keep comparing. bench_gate.py checks the 4-thread
 /// speedup ratio on machines with >= 4 cores.
@@ -610,22 +585,24 @@ void BenchThreadScaling() {
     }
   }
 
-  // expr_filter_batch_p50: the 50%-selectivity predicate kernel over
-  // static worker ranges (each worker owns its scratch and selection).
+  // expr_bytecode_filter_p50: the 50%-selectivity predicate program over
+  // static worker ranges (the program is shared; each worker owns its
+  // BcState and selection).
   {
     RowVectorPtr data = MakeKv(1 << 20, 1000);
     ExprPtr pred = ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{0})),
                            ex::Lt(ex::Col(0), ex::Lit(int64_t{500})));
+    const BcProgram prog = BcProgram::CompileFilter(pred, data->schema());
     size_t matches_t1 = 0;
     for (int t : sweep) {
       size_t matches = 0;
-      RunBench("expr_filter_batch_p50_t" + std::to_string(t), data->size(),
+      RunBench("expr_bytecode_filter_p50_t" + std::to_string(t), data->size(),
                data->byte_size(), 1,
                [&] {
                  std::vector<size_t> bounds = SplitRows(data->size(), t);
                  std::vector<size_t> counts(t, 0);
                  Status st = ParallelFor(t, [&](int w) -> Status {
-                   BatchScratch scratch;
+                   BcState state;
                    SelVector sel;
                    RowSpan span{data->data(), data->row_size(),
                                 &data->schema()};
@@ -638,8 +615,7 @@ void BenchThreadScaling() {
                      for (size_t i = 0; i < m; ++i) {
                        sel[i] = static_cast<uint32_t>(base + i);
                      }
-                     MODULARIS_RETURN_NOT_OK(
-                         pred->FilterBatch(span, &sel, &scratch));
+                     MODULARIS_RETURN_NOT_OK(prog.RunFilter(span, &sel, &state));
                      local += sel.size();
                    }
                    counts[w] = local;
@@ -653,9 +629,10 @@ void BenchThreadScaling() {
       if (t == 1) {
         matches_t1 = matches;
       } else if (matches != matches_t1) {
-        std::fprintf(stderr,
-                     "FAIL: expr_filter_batch_p50 t%d mismatch (%zu vs %zu)\n",
-                     t, matches, matches_t1);
+        std::fprintf(
+            stderr,
+            "FAIL: expr_bytecode_filter_p50 t%d mismatch (%zu vs %zu)\n", t,
+            matches, matches_t1);
         std::exit(1);
       }
     }

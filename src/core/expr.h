@@ -34,15 +34,15 @@ struct ScalarView {
   std::string_view s;
 };
 
-// -- Batch expression evaluation --------------------------------------------
-// Expressions also compile to column-wise kernels that evaluate a whole
-// batch of packed rows at once (docs/DESIGN-vectorized.md, "Batch
-// expression evaluation"). Predicates narrow *selection vectors* instead
-// of producing per-row booleans, so filtered rows are never copied before
-// projection; value kernels fill typed scratch vectors. Nodes that cannot
-// be statically typed (mixed-type IF branches) fall back to the
-// interpreted per-row Eval() inside the batch API, so batch results are
-// byte-identical to the row-at-a-time oracle by construction.
+// -- Vectorized expression evaluation ---------------------------------------
+// Expressions evaluate a whole batch of packed rows at once through the
+// bytecode programs of core/expr_bc.h (docs/DESIGN-expr-bytecode.md).
+// Predicates narrow *selection vectors* instead of producing per-row
+// booleans, so filtered rows are never copied before projection; value
+// programs fill typed columns. The per-row EvalChecked/EvalBoolChecked
+// interpreter below is the semantics: every program is byte-equal to it,
+// and nodes that cannot be statically typed (mixed-type IF branches) run
+// it per row inside the program.
 
 /// Ascending indices of the rows of a batch that are still live.
 using SelVector = std::vector<uint32_t>;
@@ -59,13 +59,13 @@ inline bool IsAscendingSel(const uint32_t* sel, size_t n) {
 }
 
 /// Release-mode defense of the SelVector contract at kernel entry points
-/// (operators validate inherited selections before handing them to the
-/// typed kernels; the bytecode tier validates at program entry). Returns
-/// Internal mentioning `where` on a violation. One predictable pass over
-/// memory the kernels are about to touch anyway.
+/// (operators validate inherited selections before their own gathers;
+/// bytecode programs validate at entry). Returns Internal mentioning
+/// `where` on a violation. One predictable pass over memory the kernels
+/// are about to touch anyway.
 Status ValidateSelection(const char* where, const uint32_t* sel, size_t n);
 
-/// A span of packed rows handed to batch kernels (the data/stride/schema
+/// A span of packed rows handed to vectorized kernels (the data/stride/schema
 /// triple of a RowBatch without the ownership machinery).
 struct RowSpan {
   const uint8_t* data = nullptr;
@@ -79,8 +79,8 @@ struct RowSpan {
 };
 
 /// Static result type of an expression over one schema. kItem marks the
-/// interpreted fallback: the node's dynamic type can vary per row (or is
-/// not worth a kernel), so batch evaluation stores whole Items.
+/// per-row fallback: the node's dynamic type can vary per row, so its
+/// vectorized result stores whole Items.
 enum class BatchTag : uint8_t { kI64, kF64, kStr, kItem };
 
 /// One value per selected row, in the statically derived representation.
@@ -91,7 +91,7 @@ struct BatchColumn {
   std::vector<int64_t> i64;
   std::vector<double> f64;
   std::vector<std::string_view> str;
-  std::vector<Item> items;  // interpreted fallback (kItem)
+  std::vector<Item> items;  // per-row fallback (kItem)
 
   /// Re-types the column and sizes the active vector (capacity reused).
   void Reset(BatchTag t, size_t n) {
@@ -112,35 +112,6 @@ struct BatchColumn {
     }
     return 0;
   }
-};
-
-/// Reusable scratch for batch kernels. Owned by the evaluating operator —
-/// NOT by the expression tree, which is shared between concurrently
-/// executing rank plans. Acquire/Release follow the recursion, i.e. strict
-/// LIFO; vectors keep their capacity across batches.
-class BatchScratch {
- public:
-  BatchColumn* AcquireColumn() {
-    if (columns_used_ == columns_.size()) {
-      columns_.push_back(std::make_unique<BatchColumn>());
-    }
-    return columns_[columns_used_++].get();
-  }
-  void ReleaseColumn() { --columns_used_; }
-
-  SelVector* AcquireSel() {
-    if (sels_used_ == sels_.size()) {
-      sels_.push_back(std::make_unique<SelVector>());
-    }
-    return sels_[sels_used_++].get();
-  }
-  void ReleaseSel() { --sels_used_; }
-
- private:
-  std::vector<std::unique_ptr<BatchColumn>> columns_;
-  size_t columns_used_ = 0;
-  std::vector<std::unique_ptr<SelVector>> sels_;
-  size_t sels_used_ = 0;
 };
 
 // -- Group-key serialization + hash kernels ---------------------------------
@@ -231,8 +202,9 @@ inline uint64_t HashKeyBytes(const uint8_t* key, uint32_t len) {
 void HashKeysSpan(const uint8_t* keys, size_t n, uint32_t key_size,
                   uint64_t* out);
 
-/// SQL LIKE matcher supporting '%' and '_' — shared by the interpreted
-/// and bytecode LIKE kernels so both tiers match byte-for-byte.
+/// SQL LIKE matcher supporting '%' and '_' — shared by the row
+/// interpreter's LikeExpr and the bytecode flike opcode, so both match
+/// byte-for-byte.
 bool LikeMatch(std::string_view text, std::string_view pattern);
 
 /// Structural kind of an expression node. The planner's rewrite passes
@@ -253,7 +225,7 @@ enum class ExprKind {
   kIf,
 };
 
-class BcCompiler;  // core/expr_bc.h — bytecode compilation tier
+class BcCompiler;  // core/expr_bc.h — the vectorized (bytecode) tier
 
 /// Immutable expression node. Expressions are shared (shared_ptr) between
 /// plans and passes.
@@ -271,7 +243,7 @@ class Expr {
   /// (IfExpr conditions, AND/OR/NOT children) use checked boolean
   /// semantics — a condition that evaluates to a non-numeric value is a
   /// hard error instead of silently false. This is the row-at-a-time
-  /// oracle the batch and bytecode tiers must match.
+  /// oracle the bytecode tier must match.
   virtual Status EvalChecked(const RowRef& row, Item* out) const {
     *out = Eval(row);
     return Status::OK();
@@ -280,8 +252,8 @@ class Expr {
   /// Boolean evaluation fast path; default falls back to Eval().
   /// NOTE: silently treats non-numeric results as false. Remains only for
   /// callers that opted out of checked semantics; every predicate context
-  /// in the engine (Filter, IfExpr conditions, the batch and bytecode
-  /// kernels) goes through EvalBoolChecked().
+  /// in the engine (Filter, IfExpr conditions, the bytecode programs)
+  /// goes through EvalBoolChecked().
   virtual bool EvalBool(const RowRef& row) const {
     Item v = Eval(row);
     return v.is_i64() ? v.i64() != 0 : (v.is_f64() && v.f64() != 0);
@@ -305,44 +277,23 @@ class Expr {
                                    " evaluated to a non-numeric value");
   }
 
-  /// Static batch result type of this node over rows of `schema`. kItem
-  /// means the node (or a child) cannot be statically typed and EvalBatch
-  /// will run the interpreted per-row fallback.
+  /// Static vectorized result type of this node over rows of `schema`.
+  /// kItem means the node (or a child) cannot be statically typed and
+  /// its program runs the per-row EvalChecked fallback.
   virtual BatchTag BatchType(const Schema& schema) const {
     (void)schema;
     return BatchTag::kItem;
   }
 
-  /// Column-wise value kernel: evaluates this node for the `n` rows
-  /// sel[0..n) of `rows` into `*out` (whose tag will equal
-  /// BatchType(*rows.schema)). `sel` must be strictly ascending (the
-  /// SelVector contract above) — the typed kernels detect contiguous
-  /// runs by their endpoints and take fixed-stride fast paths that would
-  /// mis-assign lanes on a permuted selection. The base implementation is
-  /// the interpreted fallback — one Eval() per selected row into an Item
-  /// vector — so every node batches semantically; typed nodes override
-  /// with tight loops.
-  virtual Status EvalBatch(const RowSpan& rows, const uint32_t* sel, size_t n,
-                           BatchColumn* out, BatchScratch* scratch) const;
-
-  /// Predicate kernel: narrows `*sel` (ascending) in place to the rows
-  /// satisfying this predicate. Composite predicates narrow child by
-  /// child, which preserves the row path's short-circuit semantics: a row
-  /// never reaches a child that per-row evaluation would have skipped.
-  /// Checked semantics throughout: a non-numeric predicate value is a
-  /// hard error (EvalBoolChecked), on every tier.
-  virtual Status FilterBatch(const RowSpan& rows, SelVector* sel,
-                             BatchScratch* scratch) const;
-
   /// Bytecode emission hooks (core/expr_bc.h). BcEmitValue appends
   /// instructions computing this node over the lanes of sel register
   /// `sel` and returns the value register holding the result, or -1 when
-  /// the node cannot be compiled (the compiler then emits an interpreted
-  /// EvalBatch fallback instruction and bumps the expr.bc_fallback.value
-  /// counter). BcEmitFilter appends instructions narrowing sel register
-  /// `sel` to the rows satisfying this predicate and returns false when
-  /// the node has no native filter form (the compiler derives one from
-  /// the value form, mirroring the base FilterBatch). Emission must be
+  /// the node cannot be compiled (the compiler then emits a per-row
+  /// EvalChecked fallback instruction and bumps the
+  /// expr.bc_fallback.value counter). BcEmitFilter appends instructions
+  /// narrowing sel register `sel` to the rows satisfying this predicate
+  /// and returns false when the node has no native filter form (the
+  /// compiler derives one from the value form). Emission must be
   /// side-effect free on the tree: programs are immutable after compile
   /// and shareable across workers like the tree itself.
   virtual int BcEmitValue(BcCompiler& c, int sel) const;

@@ -11,18 +11,19 @@
 #include "core/expr.h"
 
 /// \file expr_bc.h
-/// Bytecode compilation tier for expression trees and group-key codecs
-/// (docs/DESIGN-expr-bytecode.md). Expr trees compile into a flat,
-/// register-based IR executed by a batch-oriented dispatch loop: one
-/// opcode switch per *vector* of rows, not per row, so the per-node
-/// virtual-call overhead of Expr::EvalBatch disappears and the hot
-/// kernels become straight-line loops over typed registers. Predicates
-/// narrow selection registers exactly like FilterBatch narrows
-/// SelVectors; anything the compiler cannot type falls back to the
-/// interpreted EvalBatch/FilterBatch per node (counted, never wrong).
-/// Programs are immutable after compile and hold no execution state, so
-/// — like the trees they were compiled from — they are shareable across
-/// workers; all mutable state lives in the per-worker BcState.
+/// The vectorized expression tier: bytecode programs for expression trees
+/// and fused group-key codecs (docs/DESIGN-expr-bytecode.md). Expr trees
+/// compile into a flat, register-based IR executed by a batch-oriented
+/// dispatch loop: one opcode switch per *vector* of rows, not per row,
+/// and the hot kernels are straight-line loops over typed registers.
+/// Predicates narrow selection registers (ascending SelVectors) in place.
+/// Anything the compiler cannot type runs the row interpreter
+/// (EvalChecked / EvalBoolChecked) per row inside the program — counted,
+/// never wrong, since the row interpreter is the semantics every opcode
+/// must match. Programs are immutable after compile and hold no
+/// execution state, so — like the trees they were compiled from — they
+/// are shareable across workers; all mutable state lives in the
+/// per-worker BcState.
 
 namespace modularis {
 
@@ -54,7 +55,8 @@ enum class BcOp : uint8_t {
   kMulF64,
   kDivF64,  // y == 0 ? 0.0 : x / y — the engine's division semantics
   // dst.i64[i] = 1 iff sels[s][i] survived into sels[s2] (predicate as
-  // a value: MarkMatches over a filtered copy of the outer selection).
+  // a value: membership marks over a filtered copy of the outer
+  // selection).
   kMarkSel,
   // IF merge: dst over the lanes of sels[s], pulling from a (then) for
   // lanes present in sels[s2] and from b (else) otherwise, positionally.
@@ -89,9 +91,9 @@ enum class BcOp : uint8_t {
   kSelSort,    // sort sels[s] ascending
   // Control: if sels[s] is empty, jump to pc = imm.
   kJumpIfEmpty,
-  // Interpreted fallbacks, one virtual dispatch per *vector*.
-  kEvalFallback,    // dst = nodes[imm]->EvalBatch over lanes of s
-  kFilterFallback,  // nodes[imm]->FilterBatch on sels[s]
+  // Per-row fallbacks into the row interpreter (kItem-typed nodes).
+  kEvalFallback,    // dst.items[i] = nodes[imm]->EvalChecked(row sels[s][i])
+  kFilterFallback,  // keep lanes of sels[s] where EvalBoolChecked holds
 };
 
 /// One instruction. `dst`/`a`/`b` index value registers (for the fused
@@ -113,23 +115,17 @@ struct BcInst {
 class BcProgram;
 
 /// Per-worker execution state of bytecode programs: the value and
-/// selection register files plus the scratch the interpreted fallback
-/// instructions evaluate into. Owned by the executing operator exactly
-/// like BatchScratch — never by the program, which stays immutable and
-/// shareable. Registers keep their capacity across batches; constant
-/// registers refill only when the lane count grows beyond what a prior
-/// batch already splatted.
+/// selection register files. Owned by the executing operator — never by
+/// the program, which stays immutable and shareable. Registers keep their
+/// capacity across batches; constant registers refill only when the lane
+/// count grows beyond what a prior batch already splatted.
 class BcState {
- public:
-  BatchScratch* scratch() { return &scratch_; }
-
  private:
   friend class BcProgram;
   std::vector<BatchColumn> regs_;
   std::vector<SelVector> sels_;
   std::vector<size_t> const_fill_;  // lanes already splatted per const reg
   uint64_t program_serial_ = 0;     // which program the caches belong to
-  BatchScratch scratch_;
 };
 
 /// A compiled, immutable bytecode program. Two entry points: RunFilter
@@ -158,11 +154,12 @@ class BcProgram {
                                 bool optimize = true);
 
   /// Narrows `*sel` to the rows of `rows` satisfying the compiled
-  /// predicate. Byte-equal to pred->FilterBatch on the same inputs.
+  /// predicate: exactly the rows where pred->EvalBoolChecked holds, or
+  /// its error.
   Status RunFilter(const RowSpan& rows, SelVector* sel, BcState* state) const;
 
   /// Evaluates the compiled expression for the `n` rows sel[0..n) into
-  /// `*out`. Byte-equal to expr->EvalBatch on the same inputs.
+  /// `*out`: byte-equal to expr->EvalChecked per row, or its error.
   Status RunValue(const RowSpan& rows, const uint32_t* sel, size_t n,
                   BatchColumn* out, BcState* state) const;
 
@@ -191,7 +188,7 @@ class BcProgram {
   BatchTag value_tag_ = BatchTag::kItem;
   bool is_filter_ = false;
 
-  // Constant pools and interpreted-fallback nodes. `root_` keeps every
+  // Constant pools and per-row fallback nodes. `root_` keeps every
   // node in `nodes_` alive (they are subtrees of it).
   std::vector<int64_t> const_i64_;
   std::vector<double> const_f64_;
@@ -249,10 +246,11 @@ class BcCompiler {
   void CompileFilter(const Expr& e, int sel);
 
   /// Predicate in value position: filter a copy of `sel`, then mark
-  /// membership (dst.i64[i] ∈ {0,1}). Mirrors EvalViaFilter.
+  /// membership (dst.i64[i] ∈ {0,1}).
   int EmitPredicateValue(const Expr& e, int sel);
 
-  /// Explicit interpreted fallbacks (counted in CompileStats).
+  /// Explicit per-row fallbacks into the row interpreter (counted in
+  /// CompileStats).
   int EmitEvalFallback(const Expr& e, int sel);
   void EmitFilterFallback(const Expr& e, int sel);
   /// Statically non-numeric predicate: hard error if any lane survives
@@ -293,7 +291,7 @@ void OptimizeProgram(BcProgram* prog);
 /// KeyCodec::SerializeKeys + HashKeysSpan pair collapsed into one
 /// block-wise pass, so key bytes are hashed while still L1-resident and
 /// the common single-i64/f64-key shape becomes a single load→store→mix
-/// loop. Byte-identical output to the interpreted pair by construction
+/// loop. Byte-identical output to the two-pass pair by construction
 /// (same Part layout, same HashKeyBytes mix); stateless and const, so
 /// worker-safe exactly like KeyCodec.
 class KeyProgram {

@@ -83,8 +83,10 @@ Status LambdaExecutor::Open(ExecContext* ctx) {
         rctx.stats->AddTime("s3.charged", wctx.s3->charged_seconds());
         rctx.stats->AddCounter("s3.bytes", wctx.s3->bytes_transferred());
         rctx.stats->AddCounter("s3.requests", wctx.s3->requests());
-        // Worker stats are folded with MergeMax, so these surface as the
-        // hottest worker's peak / denial count.
+        // Worker stats are folded with MergeMax, which keeps the maximum
+        // of times but sums counters, so these surface as the fleet-wide
+        // sum of worker peaks / denial counts (like the MpiExecutor's
+        // per-rank sum).
         if (budget.peak() > 0) {
           rctx.stats->AddCounter("mem.peak_bytes",
                                  static_cast<int64_t>(budget.peak()));

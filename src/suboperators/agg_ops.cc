@@ -212,9 +212,7 @@ Status ReduceByKey::Open(ExecContext* ctx) {
     codec_ = KeyCodec(in_schema_, key_cols_);
     // Fused serialize+hash program for the chunked byte-key kernels.
     // Byte-identical to SerializeKeys + HashKeysSpan by construction.
-    key_prog_ = ctx->options.enable_expr_bytecode
-                    ? KeyProgram(in_schema_, key_cols_)
-                    : KeyProgram();
+    key_prog_ = KeyProgram(in_schema_, key_cols_);
   }
 
   // Compile the update plan: direct offsets when every aggregate input is
@@ -465,13 +463,8 @@ void ReduceByKey::AggregatePartition(
   RowSpan span{rows, stride, &schema};
   for (size_t base = 0; base < n; base += kKeyChunkRows) {
     const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, key_scratch->data(),
-                                 hash_scratch->data());
-    } else {
-      codec_.SerializeKeys(span, base, m, key_scratch->data());
-      HashKeysSpan(key_scratch->data(), m, ks, hash_scratch->data());
-    }
+    key_prog_.SerializeAndHash(span, base, m, key_scratch->data(),
+                               hash_scratch->data());
     for (size_t i = 0; i < m; ++i) {
       bool inserted = false;
       uint32_t state = table->FindOrInsert(key_scratch->data() + i * ks, ks,
@@ -521,13 +514,7 @@ Status ReduceByKey::ConsumeAllParallel(const RowVectorPtr& input,
       for (size_t base = bounds[w]; base < bounds[w + 1];
            base += kKeyChunkRows) {
         const size_t m = std::min(bounds[w + 1] - base, kKeyChunkRows);
-        if (key_prog_.valid()) {
-          key_prog_.SerializeAndHash(span, base, m, keys.data(),
-                                     hashes.data());
-        } else {
-          codec_.SerializeKeys(span, base, m, keys.data());
-          HashKeysSpan(keys.data(), m, ks, hashes.data());
-        }
+        key_prog_.SerializeAndHash(span, base, m, keys.data(), hashes.data());
         for (size_t i = 0; i < m; ++i) {
           const uint8_t pid = static_cast<uint8_t>(hashes[i] >> kPidShift);
           pids[base + i] = pid;
@@ -748,13 +735,7 @@ Status ReduceByKey::AggregateHybrid(storage::SpillSet* spill,
         const size_t m = std::min(n - base, kKeyChunkRows);
         if (!single_i64_key_) {
           RowSpan span{data, stride, &schema};
-          if (key_prog_.valid()) {
-            key_prog_.SerializeAndHash(span, base, m, keys.data(),
-                                       hashes.data());
-          } else {
-            codec_.SerializeKeys(span, base, m, keys.data());
-            HashKeysSpan(keys.data(), m, ks, hashes.data());
-          }
+          key_prog_.SerializeAndHash(span, base, m, keys.data(), hashes.data());
         }
         for (size_t i = 0; i < m; ++i) {
           const uint8_t* p = data + (base + i) * stride;
@@ -928,13 +909,8 @@ void ReduceByKey::AccumulateSpan(const uint8_t* rows, size_t n,
   RowSpan span{rows, stride, &schema};
   for (size_t base = 0; base < n; base += kKeyChunkRows) {
     const size_t m = std::min(n - base, kKeyChunkRows);
-    if (key_prog_.valid()) {
-      key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
-                                 hash_scratch_.data());
-    } else {
-      codec_.SerializeKeys(span, base, m, key_scratch_.data());
-      HashKeysSpan(key_scratch_.data(), m, ks, hash_scratch_.data());
-    }
+    key_prog_.SerializeAndHash(span, base, m, key_scratch_.data(),
+                               hash_scratch_.data());
     for (size_t i = 0; i < m; ++i) {
       bool inserted = false;
       uint32_t state = byte_table_.FindOrInsert(

@@ -273,8 +273,8 @@ class ReduceByKey : public SubOperator {
   /// fixed-stride serialized keys (KeyCodec) probed into the flat
   /// open-addressing ByteStateTable.
   KeyCodec codec_;
-  /// Fused serialize+hash bytecode program (invalid when the toggle is
-  /// off; falls back to SerializeKeys + HashKeysSpan).
+  /// Fused serialize+hash program for the chunked key kernels (codec_
+  /// stays for the per-row SerializeKey probes).
   KeyProgram key_prog_;
   ByteStateTable byte_table_;
   std::vector<uint8_t> key_scratch_;

@@ -222,32 +222,21 @@ bool Filter::NextBatchSelective(RowBatch* out) {
   while (child(0)->NextBatchSelective(&in_batch_)) {
     const size_t n = in_batch_.size();
     if (n == 0) continue;
-    // FilterBatch narrows sel_ in place, so an inherited selection is
-    // copied rather than aliased.
+    // The program narrows sel_ in place, so an inherited selection is
+    // copied rather than aliased. RunFilter validates it against the
+    // strictly-ascending contract before any lane is touched.
     const uint32_t* in_sel = in_batch_.SelectionOrIdentity(&sel_);
-    if (in_sel != sel_.data()) {
-      // An upstream-provided selection is the one entry point where a
-      // contract violation could silently mis-assign lanes downstream.
-      Status vst = ValidateSelection("Filter", in_sel, n);
-      if (!vst.ok()) return Fail(std::move(vst));
-      sel_.assign(in_sel, in_sel + n);
-    }
+    if (in_sel != sel_.data()) sel_.assign(in_sel, in_sel + n);
     RowSpan span{in_batch_.data(), in_batch_.row_size(), &in_batch_.schema()};
-    if (!bc_compile_attempted_) {
-      bc_compile_attempted_ = true;
-      if (ctx_ != nullptr && ctx_->options.enable_expr_bytecode) {
-        bc_prog_ = std::make_unique<BcProgram>(
-            BcProgram::CompileFilter(predicate_, in_batch_.schema()));
-        bc_state_ = std::make_unique<BcState>();
-        if (bc_prog_->fallback_count() > 0) {
-          AddStatCounter("expr.bc_fallback.filter",
-                         static_cast<int64_t>(bc_prog_->fallback_count()));
-        }
+    if (bc_prog_ == nullptr) {
+      bc_prog_ = std::make_unique<BcProgram>(
+          BcProgram::CompileFilter(predicate_, in_batch_.schema()));
+      if (bc_prog_->fallback_count() > 0) {
+        AddStatCounter("expr.bc_fallback.filter",
+                       static_cast<int64_t>(bc_prog_->fallback_count()));
       }
     }
-    Status st = bc_prog_ != nullptr
-                    ? bc_prog_->RunFilter(span, &sel_, bc_state_.get())
-                    : predicate_->FilterBatch(span, &sel_, &expr_scratch_);
+    Status st = bc_prog_->RunFilter(span, &sel_, &bc_state_);
     if (!st.ok()) return Fail(std::move(st));
     if (sel_.empty()) continue;
     out->BorrowFrom(in_batch_);
@@ -319,7 +308,7 @@ Status MapOp::WriteOutput(const RowRef& in, RowWriter* w) {
     }
     // Checked evaluation: a string-valued IF condition (or any other
     // non-numeric predicate result inside the tree) is a hard error on
-    // the row path, exactly as on the batch and bytecode paths.
+    // the row path, exactly as in the compiled value programs.
     Item v;
     MODULARIS_RETURN_NOT_OK(spec.expr->EvalChecked(in, &v));
     switch (out_schema_.field(c).type) {
@@ -373,21 +362,16 @@ Status MapOp::TransformBatch(const RowBatch& in) {
     // strictly-ascending contract before any contiguity fast path runs.
     MODULARIS_RETURN_NOT_OK(ValidateSelection("Map", sel, n));
   }
-  if (!bc_compile_attempted_) {
-    bc_compile_attempted_ = true;
-    if (ctx_ != nullptr && ctx_->options.enable_expr_bytecode) {
-      bc_progs_.resize(outputs_.size());
-      int64_t fallbacks = 0;
-      for (size_t c = 0; c < outputs_.size(); ++c) {
-        if (outputs_[c].passthrough_col >= 0) continue;
-        auto prog = std::make_unique<BcProgram>(
-            BcProgram::CompileValue(outputs_[c].expr, in.schema()));
-        fallbacks += static_cast<int64_t>(prog->fallback_count());
-        bc_progs_[c] = std::move(prog);
-      }
-      if (fallbacks > 0) AddStatCounter("expr.bc_fallback.value", fallbacks);
-      bc_state_ = std::make_unique<BcState>();
+  if (!bc_compiled_) {
+    bc_compiled_ = true;
+    bc_progs_.resize(outputs_.size());
+    int64_t fallbacks = 0;
+    for (size_t c = 0; c < outputs_.size(); ++c) {
+      if (outputs_[c].passthrough_col >= 0) continue;
+      bc_progs_[c] = BcProgram::CompileValue(outputs_[c].expr, in.schema());
+      fallbacks += static_cast<int64_t>(bc_progs_[c].fallback_count());
     }
+    if (fallbacks > 0) AddStatCounter("expr.bc_fallback.value", fallbacks);
   }
   if (out_rows_ == nullptr) {
     out_rows_ = RowVector::Make(out_schema_);
@@ -436,13 +420,10 @@ Status MapOp::TransformBatch(const RowBatch& in) {
       }
       continue;
     }
-    BatchColumn* v = expr_scratch_.AcquireColumn();
-    Status st = c < bc_progs_.size() && bc_progs_[c] != nullptr
-                    ? bc_progs_[c]->RunValue(span, sel, n, v, bc_state_.get())
-                    : spec.expr->EvalBatch(span, sel, n, v, &expr_scratch_);
-    if (st.ok()) st = StoreColumn(*v, col, ooff, obase, ostride, n);
-    expr_scratch_.ReleaseColumn();
-    MODULARIS_RETURN_NOT_OK(st);
+    MODULARIS_RETURN_NOT_OK(
+        bc_progs_[c].RunValue(span, sel, n, &value_col_, &bc_state_));
+    MODULARIS_RETURN_NOT_OK(
+        StoreColumn(value_col_, col, ooff, obase, ostride, n));
   }
   return Status::OK();
 }

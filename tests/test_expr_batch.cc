@@ -1,13 +1,15 @@
 /// \file test_expr_batch.cc
-/// Differential/property harness for the batch expression evaluator:
+/// Differential/property harness for the vectorized expression tier:
 /// thousands of random (seeded, reproducible) Expr trees over a mixed
-/// i64/f64/string/i32/date schema, asserting that the column-wise kernels
-/// (EvalBatch) and selection-vector predicates (FilterBatch) are
-/// byte-equal to the interpreted per-row oracle (Eval / EvalBoolChecked),
-/// including division-by-zero (yields f64 0.0), -0.0, empty strings,
-/// empty batches, subset selections, and the hard-error rule for
-/// non-numeric predicate results. Plus operator-level regressions for the
-/// selection-vector flow through Filter → Map → ReduceByKey.
+/// i64/f64/string/i32/date schema, asserting that the compiled bytecode
+/// value programs (RunValue) and selection-vector predicate programs
+/// (RunFilter), optimized and raw, are byte-equal to the per-row oracle
+/// (EvalChecked / EvalBoolChecked) in value and Status, including
+/// division-by-zero (yields f64 0.0), -0.0, empty strings, empty batches,
+/// subset selections, the per-row fallbacks for statically untyped
+/// (kItem) nodes, and the hard-error rule for non-numeric predicate
+/// results. Plus operator-level regressions for the selection-vector flow
+/// through Filter → Map → ReduceByKey.
 
 #include <cstring>
 #include <random>
@@ -196,7 +198,7 @@ ExprPtr Gen(std::mt19937_64* rng, int depth, Want want) {
 // Differential checks
 // ---------------------------------------------------------------------------
 
-/// Compares one batch-evaluated value against the interpreted oracle.
+/// Compares one vectorized value against the row oracle's.
 void ExpectValueEqual(const BatchColumn& col, size_t i, const Item& expected,
                       const std::string& label) {
   switch (col.tag) {
@@ -223,112 +225,105 @@ void ExpectValueEqual(const BatchColumn& col, size_t i, const Item& expected,
   }
 }
 
-/// Runs every differential check for one expression over one row set,
-/// across all three tiers: interpreted per-row (the oracle), the batch
-/// kernels, and the compiled bytecode programs (optimized and raw).
+/// Row oracle over the lanes of `sel`: EvalChecked per row, in ascending
+/// row order. The first failing row's Status wins, exactly as a
+/// row-at-a-time pass reports it.
+Status OracleValues(const Expr& expr, const RowVector& rows,
+                    const SelVector& sel, std::vector<Item>* out) {
+  out->assign(sel.size(), Item());
+  for (size_t i = 0; i < sel.size(); ++i) {
+    MODULARIS_RETURN_NOT_OK(expr.EvalChecked(rows.row(sel[i]), &(*out)[i]));
+  }
+  return Status::OK();
+}
+
+/// Row oracle for predicate position: the lanes where EvalBoolChecked
+/// holds, or the first failing row's Status.
+Status OracleFilter(const Expr& expr, const RowVector& rows,
+                    const SelVector& sel, SelVector* out) {
+  out->clear();
+  for (uint32_t r : sel) {
+    bool keep = false;
+    MODULARIS_RETURN_NOT_OK(expr.EvalBoolChecked(rows.row(r), &keep));
+    if (keep) out->push_back(r);
+  }
+  return Status::OK();
+}
+
+void ExpectSameStatus(const Status& got, const Status& want,
+                      const std::string& label) {
+  ASSERT_TRUE(got == want) << label << ": got " << got.ToString()
+                           << ", row oracle " << want.ToString();
+}
+
+SelVector AllRows(const RowVector& rows) {
+  SelVector all(rows.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  return all;
+}
+
+/// Runs every differential check for one expression over one row set:
+/// the compiled value and predicate programs, optimized and raw, against
+/// the per-row oracle on `sel` and on the empty selection.
 void CheckTree(const ExprPtr& expr, const RowVector& rows,
-               const SelVector& sel, BatchScratch* scratch,
-               const std::string& label) {
+               const SelVector& sel, const std::string& label) {
   RowSpan span{rows.data(), rows.row_size(), &rows.schema()};
   const size_t n = sel.size();
+  std::vector<Item> want_values;
+  const Status want_vst = OracleValues(*expr, rows, sel, &want_values);
+  SelVector want_sel;
+  const Status want_fst = OracleFilter(*expr, rows, sel, &want_sel);
+  const BatchTag tag = expr->BatchType(rows.schema());
 
-  // 1. Value parity: batch kernel vs per-row Eval().
-  BatchColumn col;
-  Status st = expr->EvalBatch(span, sel.data(), n, &col, scratch);
-  ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-  ASSERT_EQ(col.size(), n) << label;
-  ASSERT_EQ(col.tag, expr->BatchType(rows.schema())) << label;
-  for (size_t i = 0; i < n; ++i) {
-    Item expected = expr->Eval(rows.row(sel[i]));
-    ExpectValueEqual(col, i, expected, label + " row " + std::to_string(i));
-  }
-
-  // 1b. Bytecode value parity: byte-equal to the batch kernel column,
-  // with and without the optimizer.
   BcState bc_state;
   for (bool optimize : {true, false}) {
-    BcProgram prog = BcProgram::CompileValue(expr, rows.schema(), optimize);
-    ASSERT_TRUE(prog.valid()) << label;
+    const std::string tier = label + " (opt=" + std::to_string(optimize) + ")";
+
+    // 1. Value parity: RunValue vs per-row EvalChecked.
+    BcProgram vprog = BcProgram::CompileValue(expr, rows.schema(), optimize);
+    ASSERT_TRUE(vprog.valid()) << tier;
     // Dead-branch elimination may narrow a statically mixed-type (kItem)
     // IF to the taken branch's concrete tag; values are still checked
-    // per row against the interpreted oracle below.
-    if (col.tag != BatchTag::kItem) {
-      ASSERT_EQ(prog.value_tag(), col.tag) << label;
+    // per row against the oracle below.
+    if (tag != BatchTag::kItem) {
+      ASSERT_EQ(vprog.value_tag(), tag) << tier;
     }
-    BatchColumn bc_col;
-    st = prog.RunValue(span, sel.data(), n, &bc_col, &bc_state);
-    ASSERT_TRUE(st.ok()) << label << " (bc value opt=" << optimize
-                         << "): " << st.ToString();
-    ASSERT_EQ(bc_col.size(), n) << label;
-    if (col.tag != BatchTag::kItem) {
-      ASSERT_EQ(bc_col.tag, col.tag) << label;
+    BatchColumn col;
+    Status st = vprog.RunValue(span, sel.data(), n, &col, &bc_state);
+    ExpectSameStatus(st, want_vst, tier + " value");
+    if (st.ok()) {
+      ASSERT_EQ(col.size(), n) << tier;
+      for (size_t i = 0; i < n; ++i) {
+        ExpectValueEqual(col, i, want_values[i],
+                         tier + " value row " + std::to_string(i));
+      }
     }
-    for (size_t i = 0; i < n; ++i) {
-      Item expected = expr->Eval(rows.row(sel[i]));
-      ExpectValueEqual(bc_col, i, expected,
-                       label + " (bc value opt=" + std::to_string(optimize) +
-                           ") row " + std::to_string(i));
-    }
-  }
 
-  // 2. Checked predicate parity: FilterBatch vs per-row EvalBoolChecked.
-  SelVector expected_sel;
-  bool oracle_error = false;
-  for (size_t i = 0; i < n && !oracle_error; ++i) {
-    bool keep = false;
-    Status est = expr->EvalBoolChecked(rows.row(sel[i]), &keep);
-    if (!est.ok()) {
-      oracle_error = true;
-    } else if (keep) {
-      expected_sel.push_back(sel[i]);
+    // 2. Predicate parity: RunFilter vs per-row EvalBoolChecked —
+    // identical selections, or the identical error.
+    BcProgram fprog = BcProgram::CompileFilter(expr, rows.schema(), optimize);
+    ASSERT_TRUE(fprog.valid()) << tier;
+    SelVector got_sel = sel;
+    st = fprog.RunFilter(span, &got_sel, &bc_state);
+    ExpectSameStatus(st, want_fst, tier + " filter");
+    if (st.ok()) {
+      ASSERT_EQ(got_sel, want_sel) << tier;
     }
-  }
-  SelVector got_sel = sel;
-  st = expr->FilterBatch(span, &got_sel, scratch);
-  if (oracle_error) {
-    ASSERT_FALSE(st.ok()) << label << ": oracle errored, batch did not";
-  } else {
-    ASSERT_TRUE(st.ok()) << label << ": " << st.ToString();
-    ASSERT_EQ(got_sel, expected_sel) << label;
-  }
 
-  // 2b. Bytecode predicate parity: identical selections (or the same
-  // error verdict), with and without the optimizer.
-  for (bool optimize : {true, false}) {
-    BcProgram prog = BcProgram::CompileFilter(expr, rows.schema(), optimize);
-    ASSERT_TRUE(prog.valid()) << label;
-    SelVector bc_sel = sel;
-    st = prog.RunFilter(span, &bc_sel, &bc_state);
-    if (oracle_error) {
-      ASSERT_FALSE(st.ok())
-          << label << " (bc filter opt=" << optimize
-          << "): oracle errored, bytecode did not";
-    } else {
-      ASSERT_TRUE(st.ok()) << label << " (bc filter opt=" << optimize
-                           << "): " << st.ToString();
-      ASSERT_EQ(bc_sel, expected_sel)
-          << label << " (bc filter opt=" << optimize << ")";
-    }
+    // 3. Empty selection: trivially OK on both programs.
+    SelVector empty;
+    st = fprog.RunFilter(span, &empty, &bc_state);
+    ASSERT_TRUE(st.ok()) << tier << ": " << st.ToString();
+    ASSERT_TRUE(empty.empty()) << tier;
+    st = vprog.RunValue(span, nullptr, 0, &col, &bc_state);
+    ASSERT_TRUE(st.ok()) << tier << ": " << st.ToString();
+    ASSERT_EQ(col.size(), 0u) << tier;
   }
-
-  // 3. Empty selection: trivially OK on every path.
-  SelVector empty;
-  st = expr->FilterBatch(span, &empty, scratch);
-  ASSERT_TRUE(st.ok()) << label;
-  ASSERT_TRUE(empty.empty()) << label;
-  st = expr->EvalBatch(span, nullptr, 0, &col, scratch);
-  ASSERT_TRUE(st.ok()) << label;
-  ASSERT_EQ(col.size(), 0u) << label;
-  BcProgram fprog = BcProgram::CompileFilter(expr, rows.schema());
-  st = fprog.RunFilter(span, &empty, &bc_state);
-  ASSERT_TRUE(st.ok()) << label;
-  ASSERT_TRUE(empty.empty()) << label;
 }
 
 TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
   const size_t kRows = 96;
   const int kTreesPerKind = 420;  // 3 kinds → 1260 trees total
-  BatchScratch scratch;
   for (int kind = 0; kind < 3; ++kind) {
     for (int t = 0; t < kTreesPerKind; ++t) {
       std::mt19937_64 rng(1000003u * kind + t);  // seeded, reproducible
@@ -341,7 +336,7 @@ TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
       // Identity selection over the full batch.
       SelVector all(kRows);
       for (size_t i = 0; i < kRows; ++i) all[i] = static_cast<uint32_t>(i);
-      CheckTree(expr, *rows, all, &scratch, label);
+      CheckTree(expr, *rows, all, label);
 
       // Random subset selection (kernels must honor gaps).
       SelVector subset;
@@ -349,7 +344,7 @@ TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
       for (size_t i = 0; i < kRows; ++i) {
         if (coin(rng) == 0) subset.push_back(static_cast<uint32_t>(i));
       }
-      CheckTree(expr, *rows, subset, &scratch, label + " (subset)");
+      CheckTree(expr, *rows, subset, label + " (subset)");
     }
   }
 }
@@ -357,31 +352,38 @@ TEST(ExprBatchDifferentialTest, RandomTreesMatchInterpretedOracle) {
 TEST(ExprBatchDifferentialTest, EmptyBatchAllPaths) {
   RowVectorPtr rows = RowVector::Make(TestSchema());
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  BatchScratch scratch;
   ExprPtr expr = ex::And(ex::Lt(ex::Col(0), ex::Lit(int64_t{3})),
                          ex::Like(ex::Col(2), "a%"));
-  SelVector sel;
-  ASSERT_TRUE(expr->FilterBatch(span, &sel, &scratch).ok());
-  EXPECT_TRUE(sel.empty());
-  BatchColumn col;
-  ASSERT_TRUE(expr->EvalBatch(span, nullptr, 0, &col, &scratch).ok());
-  EXPECT_EQ(col.size(), 0u);
+  BcState state;
+  for (bool optimize : {true, false}) {
+    SelVector sel;
+    BcProgram fprog = BcProgram::CompileFilter(expr, rows->schema(), optimize);
+    ASSERT_TRUE(fprog.RunFilter(span, &sel, &state).ok());
+    EXPECT_TRUE(sel.empty());
+    BcProgram vprog = BcProgram::CompileValue(expr, rows->schema(), optimize);
+    BatchColumn col;
+    ASSERT_TRUE(vprog.RunValue(span, nullptr, 0, &col, &state).ok());
+    EXPECT_EQ(col.size(), 0u);
+  }
+  CheckTree(expr, *rows, SelVector(), "empty batch");
 }
 
 TEST(ExprBatchDifferentialTest, DivisionByZeroYieldsFloat64Zero) {
   std::mt19937_64 rng(7);
   RowVectorPtr rows = MakeRows(&rng, 64);
-  BatchScratch scratch;
   ExprPtr expr = ex::Div(ex::Col(0), ex::Lit(int64_t{0}));
   ASSERT_EQ(expr->BatchType(rows->schema()), BatchTag::kF64);
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  CheckTree(expr, *rows, all, &scratch, "div-by-zero");
+  const SelVector all = AllRows(*rows);
+  CheckTree(expr, *rows, all, "div-by-zero");
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  BatchColumn col;
-  ASSERT_TRUE(expr->EvalBatch(span, all.data(), all.size(), &col, &scratch)
-                  .ok());
-  for (size_t i = 0; i < col.size(); ++i) EXPECT_EQ(col.f64[i], 0.0);
+  BcState state;
+  for (bool optimize : {true, false}) {
+    BcProgram prog = BcProgram::CompileValue(expr, rows->schema(), optimize);
+    BatchColumn col;
+    ASSERT_TRUE(prog.RunValue(span, all.data(), all.size(), &col, &state).ok());
+    ASSERT_EQ(col.size(), all.size());
+    for (size_t i = 0; i < col.size(); ++i) EXPECT_EQ(col.f64[i], 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -407,16 +409,15 @@ TEST(StringPredicateTest, ExprLevelCheckedError) {
   // Legacy unchecked EvalBool keeps the silent-false behavior.
   EXPECT_FALSE(pred->EvalBool(rows->row(0)));
 
-  BatchScratch scratch;
+  // The vectorized tier raises the identical error.
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector sel = {0, 1, 2};
-  EXPECT_FALSE(pred->FilterBatch(span, &sel, &scratch).ok());
-  // The bytecode tier raises the identical error.
-  BcProgram prog = BcProgram::CompileFilter(pred, rows->schema());
   BcState state;
-  sel = {0, 1, 2};
-  Status bst = prog.RunFilter(span, &sel, &state);
-  EXPECT_FALSE(bst.ok());
+  for (bool optimize : {true, false}) {
+    BcProgram prog = BcProgram::CompileFilter(pred, rows->schema(), optimize);
+    SelVector sel = {0, 1, 2};
+    Status bst = prog.RunFilter(span, &sel, &state);
+    EXPECT_TRUE(bst == st) << bst.ToString() << " vs " << st.ToString();
+  }
 }
 
 TEST(StringPredicateTest, FilterRowPathFailsHard) {
@@ -428,7 +429,7 @@ TEST(StringPredicateTest, FilterRowPathFailsHard) {
   EXPECT_FALSE(filter.status().ok());
 }
 
-TEST(StringPredicateTest, FilterBatchPathFailsHard) {
+TEST(StringPredicateTest, FilterVectorizedPathFailsHard) {
   Filter filter(ScanOf(MixedRows(16)),
                 ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{-1000000})),
                         ex::Col(2)));
@@ -595,8 +596,7 @@ TEST(BytecodeOptimizerTest, ConstantFoldingDivByZeroMatchesEvaluation) {
   EXPECT_GT(prog.stats().folded, 0u) << prog.Disassemble();
   EXPECT_EQ(prog.fallback_count(), 0u);
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const SelVector all = AllRows(*rows);
   BcState state;
   BatchColumn col;
   ASSERT_TRUE(
@@ -612,19 +612,18 @@ TEST(BytecodeOptimizerTest, ConstantFoldingDivByZeroMatchesEvaluation) {
 TEST(BytecodeOptimizerTest, ShortCircuitSkipsErroringChild) {
   // AND narrows child by child; once the selection is empty, a later
   // child that would raise (a statically string-typed predicate) must
-  // never fire — on the interpreted tier or the compiled one.
+  // never fire — exactly as the row path's short-circuit never reaches
+  // it.
   std::mt19937_64 rng(5);
   RowVectorPtr rows = MakeRows(&rng, 32);
   ExprPtr never = ex::Eq(ex::Col(0), ex::Lit(int64_t{123456789}));
   ExprPtr raising = ex::Col(2);  // string column as a predicate
   ExprPtr expr = ex::And(never, raising);
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const SelVector all = AllRows(*rows);
 
-  BatchScratch scratch;
-  SelVector sel = all;
-  ASSERT_TRUE(expr->FilterBatch(span, &sel, &scratch).ok());
+  SelVector sel;
+  ASSERT_TRUE(OracleFilter(*expr, *rows, all, &sel).ok());
   EXPECT_TRUE(sel.empty());
 
   for (bool optimize : {true, false}) {
@@ -637,22 +636,18 @@ TEST(BytecodeOptimizerTest, ShortCircuitSkipsErroringChild) {
     EXPECT_TRUE(sel.empty());
   }
 
-  // Flipped order: every lane reaches the string predicate, so all
-  // three tiers must raise.
+  // Flipped order: every lane reaches the string predicate, so both
+  // tiers must raise.
   ExprPtr always = ex::Ge(ex::Col(0), ex::Lit(int64_t{-10000000}));
   ExprPtr bad = ex::And(always, raising);
-  sel = all;
-  EXPECT_FALSE(bad->FilterBatch(span, &sel, &scratch).ok());
-  BcProgram bad_prog = BcProgram::CompileFilter(bad, rows->schema());
-  BcState state;
-  sel = all;
-  EXPECT_FALSE(bad_prog.RunFilter(span, &sel, &state).ok());
+  EXPECT_FALSE(OracleFilter(*bad, *rows, all, &sel).ok());
+  CheckTree(bad, *rows, all, "AND(always, string predicate)");
 }
 
 TEST(BytecodeOptimizerTest, DeadBranchEliminationUnderItemChildren) {
   // A constant condition selects one branch at compile time. The dead
-  // branch is a mixed-type IF (statically kItem) that would force an
-  // interpreted fallback — eliminating it must leave zero fallbacks.
+  // branch is a mixed-type IF (statically kItem) that would force a
+  // per-row fallback — eliminating it must leave zero fallbacks.
   std::mt19937_64 rng(9);
   RowVectorPtr rows = MakeRows(&rng, 24);
   ExprPtr item_branch =
@@ -665,8 +660,7 @@ TEST(BytecodeOptimizerTest, DeadBranchEliminationUnderItemChildren) {
   BcProgram prog = BcProgram::CompileValue(expr, rows->schema());
   EXPECT_EQ(prog.fallback_count(), 0u) << prog.Disassemble();
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const SelVector all = AllRows(*rows);
   BcState state;
   BatchColumn col;
   ASSERT_TRUE(
@@ -675,30 +669,91 @@ TEST(BytecodeOptimizerTest, DeadBranchEliminationUnderItemChildren) {
   for (size_t i = 0; i < col.size(); ++i) {
     EXPECT_EQ(col.i64[i], rows->row(i).GetInt64(0) + 3);
   }
+
+  // Live kItem nodes make the fallback opcodes fire: eval_fb for a value
+  // the compiler cannot type, filter_fb for a predicate over one. Both
+  // must agree with the row oracle in value and Status.
+  struct LiveCase {
+    ExprPtr expr;
+    bool value_fallback;  // value form runs eval_fb (else filter_fb)
+  };
+  const std::vector<LiveCase> live = {
+      {item_branch, true},                        // mixed-type IF
+      {ex::Add(item_branch, ex::Col(0)), true},   // Arith over kItem
+      {ex::Lt(item_branch, ex::Col(1)), false},   // Compare, kItem side
+  };
+  SelVector subset;
+  for (uint32_t r = 0; r < rows->size(); r += 3) subset.push_back(r);
+  for (const LiveCase& lc : live) {
+    const std::string label = lc.expr->ToString();
+    for (bool optimize : {true, false}) {
+      BcProgram vprog =
+          BcProgram::CompileValue(lc.expr, rows->schema(), optimize);
+      EXPECT_GT(lc.value_fallback ? vprog.stats().value_fallbacks
+                                  : vprog.stats().filter_fallbacks,
+                0u)
+          << label << "\n" << vprog.Disassemble();
+      BcProgram fprog =
+          BcProgram::CompileFilter(lc.expr, rows->schema(), optimize);
+      EXPECT_GT(fprog.stats().filter_fallbacks, 0u)
+          << label << "\n" << fprog.Disassemble();
+    }
+    CheckTree(lc.expr, *rows, all, label);
+    CheckTree(lc.expr, *rows, subset, label + " (subset)");
+  }
+
+  // Error precedence inside a fallback: `p` is non-numeric ('x') where
+  // a <= 0 and fails evaluation (its nested condition is the string 's')
+  // where 0 < a <= 5. The row path reports whichever row comes first, so
+  // both row orders must surface that row's error — never the other one.
+  ExprPtr p = ex::If(
+      ex::Gt(ex::Col(0), ex::Lit(int64_t{0})),
+      ex::If(ex::If(ex::Gt(ex::Col(0), ex::Lit(int64_t{5})),
+                    ex::Lit(int64_t{1}), ex::Lit(std::string("s"))),
+             ex::Lit(int64_t{1}), ex::Lit(int64_t{2})),
+      ex::Lit(std::string("x")));
+  ASSERT_EQ(p->BatchType(rows->schema()), BatchTag::kItem);
+  std::vector<std::string> messages;
+  for (const std::vector<int64_t>& keys :
+       {std::vector<int64_t>{-1, 3, 9}, std::vector<int64_t>{3, -1, 9}}) {
+    RowVectorPtr order = RowVector::Make(TestSchema());
+    for (int64_t a : keys) order->AppendRow().SetInt64(0, a);
+    const SelVector order_all = AllRows(*order);
+    SelVector ignored;
+    Status want = OracleFilter(*p, *order, order_all, &ignored);
+    ASSERT_FALSE(want.ok());
+    messages.push_back(want.message());
+    CheckTree(p, *order, order_all, "error precedence " + want.message());
+  }
+  EXPECT_NE(messages[0], messages[1]);
 }
 
 TEST(BytecodeOptimizerTest, ComparisonFusionKeepsSemantics) {
   // col < const compiles into a single fused filter opcode; the result
-  // must match the unfused program and the interpreted kernel.
+  // must match the unfused program and the row oracle.
   std::mt19937_64 rng(13);
   RowVectorPtr rows = MakeRows(&rng, 64);
   ExprPtr expr = ex::Lt(ex::Col(0), ex::Lit(int64_t{10}));
   BcProgram fused = BcProgram::CompileFilter(expr, rows->schema());
   EXPECT_GT(fused.stats().fused, 0u) << fused.Disassemble();
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  BatchScratch scratch;
-  SelVector want = all;
-  ASSERT_TRUE(expr->FilterBatch(span, &want, &scratch).ok());
+  const SelVector all = AllRows(*rows);
+  SelVector want;
+  ASSERT_TRUE(OracleFilter(*expr, *rows, all, &want).ok());
   BcState state;
   SelVector got = all;
   ASSERT_TRUE(fused.RunFilter(span, &got, &state).ok());
   EXPECT_EQ(got, want);
+  BcProgram unfused =
+      BcProgram::CompileFilter(expr, rows->schema(), /*optimize=*/false);
+  EXPECT_EQ(unfused.stats().fused, 0u);
+  got = all;
+  ASSERT_TRUE(unfused.RunFilter(span, &got, &state).ok());
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------
-// String-valued IF conditions are hard errors on all three tiers
+// String-valued IF conditions are hard errors on both tiers
 // ---------------------------------------------------------------------------
 
 TEST(StringPredicateTest, StringIfConditionHardErrorAllTiers) {
@@ -713,17 +768,11 @@ TEST(StringPredicateTest, StringIfConditionHardErrorAllTiers) {
   EXPECT_NE(st.ToString().find("non-numeric"), std::string::npos)
       << st.ToString();
 
-  // Batch tier: both branches are i64, so the typed split path runs the
-  // condition filter — which must raise.
-  BatchScratch scratch;
+  // Bytecode tier: both branches are i64, so the typed split path runs
+  // the condition filter — which must raise.
   RowSpan span{rows->data(), rows->row_size(), &rows->schema()};
-  SelVector all(rows->size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<uint32_t>(i);
+  const SelVector all = AllRows(*rows);
   BatchColumn col;
-  EXPECT_FALSE(
-      expr->EvalBatch(span, all.data(), all.size(), &col, &scratch).ok());
-
-  // Bytecode tier.
   for (bool optimize : {true, false}) {
     BcProgram prog = BcProgram::CompileValue(expr, rows->schema(), optimize);
     BcState state;
