@@ -197,16 +197,21 @@ void BenchExprFilterEval() {
   RowVectorPtr data = MakeKv(1 << 18, 1000);
   ExprPtr pred = ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{100})),
                          ex::Lt(ex::Col(0), ex::Lit(int64_t{900})));
+  bool all_ok = true;
   RunBench("expr_filter_eval", data->size(), data->byte_size(), -1, [&] {
     int64_t matches = 0;
     for (size_t i = 0; i < data->size(); ++i) {
-      matches += pred->EvalBool(data->row(i));
+      bool keep = false;
+      all_ok &= pred->EvalBoolChecked(data->row(i), &keep).ok();
+      matches += keep;
     }
     if (matches < 0) std::abort();
   });
+  if (!all_ok) std::abort();
 }
 
-/// Selectivity sweep: interpreted per-row EvalBool vs the compiled
+/// Selectivity sweep: the row interpreter as the engine's row path runs
+/// it (Filter::Next: checked EvalBoolChecked per row) vs the compiled
 /// predicate program (selection-vector narrowing through the fused range
 /// opcode) at 1% / 50% / 99% pass rates.
 void BenchFilterSelectivity() {
@@ -220,14 +225,18 @@ void BenchFilterSelectivity() {
     ExprPtr pred = ex::And(ex::Ge(ex::Col(0), ex::Lit(int64_t{0})),
                            ex::Lt(ex::Col(0), ex::Lit(p.bound)));
     size_t interp_matches = 0;
+    bool interp_ok = true;
     RunBench(std::string("expr_filter_interp_") + p.name, data->size(),
              data->byte_size(), 0, [&] {
                size_t matches = 0;
                for (size_t i = 0; i < data->size(); ++i) {
-                 matches += pred->EvalBool(data->row(i));
+                 bool keep = false;
+                 interp_ok &= pred->EvalBoolChecked(data->row(i), &keep).ok();
+                 matches += keep;
                }
                interp_matches = matches;
              });
+    if (!interp_ok) std::abort();
     BcProgram prog = BcProgram::CompileFilter(pred, data->schema());
     BcState state;
     SelVector sel;
@@ -788,7 +797,7 @@ void BenchGroupBy() {
 
   auto run_one = [&](const Shape& shape, int threads, uint64_t* checksum,
                      size_t* groups_out,
-                     const CancellationToken* cancel = nullptr,
+                     CancellationToken* cancel = nullptr,
                      size_t mem_limit = 0,
                      storage::BlobStore* spill_store = nullptr) {
     ExecContext ctx;
@@ -1008,7 +1017,7 @@ ShuffleOut RunExchangeShuffle(const ShuffleFixture& fx, int threads,
                               bool vectorized, bool serial_wire,
                               const net::FabricOptions& fabric,
                               bool checksum,
-                              const CancellationToken* cancel = nullptr) {
+                              CancellationToken* cancel = nullptr) {
   const RadixSpec spec{4, 0, RadixHash::kIdentity};
   const int world = static_cast<int>(fx.frags.size());
   std::vector<uint64_t> sums(world, 1469598103934665603ull);

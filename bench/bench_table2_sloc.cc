@@ -76,6 +76,10 @@ int Main() {
       {"/src/suboperators/join_ops", {"BuildProbe"}, false},
       {"/src/suboperators/agg_ops", {"ReduceByKey", "Reduce", "Sort",
         "TopK", "GroupBy"}, false},
+      // The platform-neutral half of every executor: the rank/worker/
+      // driver scope and the fleet fold MpiExecutor and LambdaExecutor
+      // share.
+      {"/src/core/exec_scope", {"ExecScope", "FleetExecutor"}, false},
       {"/src/mpi/mpi_ops", {"MpiExecutor", "MpiHistogram", "MpiExchange",
         "MpiBroadcast"}, true},
   };

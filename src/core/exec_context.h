@@ -82,9 +82,10 @@ struct ExecOptions {
   /// fabric transports (replaces the old per-site max_retries knobs).
   RetryPolicy retry;
 
-  /// Whole-query deadline in seconds (0 = none). The executors arm the
-  /// run's CancellationToken with it so even a hung blocking wait returns
-  /// non-OK within the deadline.
+  /// Whole-query deadline in seconds (0 = none). The driver's ExecScope
+  /// (core/exec_scope.h) arms the query's CancellationToken with it, so
+  /// even a hung blocking wait — on a rank, a worker or the driver-side
+  /// merge tail — returns non-OK within the deadline.
   double deadline_seconds = 0;
 
   // -- Memory governance (docs/DESIGN-memory.md) ----------------------------
@@ -149,14 +150,15 @@ class ExecContext {
   serverless::S3SelectEngine* s3select = nullptr;
   serverless::LambdaWorkerContext* lambda = nullptr;
 
-  /// Query-wide cancellation token (core/fault.h), owned by the executor;
-  /// null when the plan runs without one. Checked in morsel loops,
-  /// exchange drains and fabric blocking waits; a failing rank cancels it
-  /// so its peers stop claiming work instead of computing into a dead
-  /// query.
-  const CancellationToken* cancel = nullptr;
+  /// Query-wide cancellation token (core/fault.h), owned by the query's
+  /// driver ExecScope (core/exec_scope.h) and shared by every scope
+  /// beneath it; null when the plan runs without one. Checked in morsel
+  /// loops, exchange drains and fabric blocking waits; a failing scope
+  /// cancels it so its peers stop claiming work instead of computing into
+  /// a dead query.
+  CancellationToken* cancel = nullptr;
 
-  /// The rank's memory budget (core/memory.h), owned by the executor;
+  /// The rank's memory budget (core/memory.h), owned by its ExecScope;
   /// null = untracked (zero accounting overhead). Workers share the
   /// rank's budget — charges are rare (capacity growth only), so the
   /// shared relaxed atomics beat per-worker slabs that could not observe
@@ -208,7 +210,6 @@ class ExecContext {
   const Tuple* CurrentParams() const {
     return frames_.empty() ? nullptr : frames_.back();
   }
-  size_t ParamDepth() const { return frames_.size(); }
 
  private:
   std::vector<const Tuple*> frames_;

@@ -250,10 +250,10 @@ class Expr {
   }
 
   /// Boolean evaluation fast path; default falls back to Eval().
-  /// NOTE: silently treats non-numeric results as false. Remains only for
-  /// callers that opted out of checked semantics; every predicate context
-  /// in the engine (Filter, IfExpr conditions, the bytecode programs)
-  /// goes through EvalBoolChecked().
+  /// NOTE: silently treats non-numeric results as false. No production
+  /// predicate calls it: Filter, S3 Select, IfExpr conditions and the
+  /// bytecode programs all go through EvalBoolChecked(). It remains only
+  /// as the nested step of the unchecked Eval().
   virtual bool EvalBool(const RowRef& row) const {
     Item v = Eval(row);
     return v.is_i64() ? v.i64() != 0 : (v.is_f64() && v.f64() != 0);

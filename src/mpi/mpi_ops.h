@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/exec_scope.h"
 #include "core/sub_operator.h"
 #include "mpi/communicator.h"
 #include "suboperators/radix.h"
@@ -41,10 +42,12 @@ inline void DecompressKV(int64_t word, int64_t pid, int radix_bits,
 /// MpiExecutor runs a nested plan on every rank of a simulated cluster in
 /// a data-parallel fashion (the stacked frame of Fig. 3). The nested plan
 /// is produced per rank by a factory; each rank's plan-input tuple comes
-/// from `rank_params`. The executor collects every tuple the rank plans
-/// emit and yields them (rank-ordered) to the driver-side remainder of
-/// the plan.
-class MpiExecutor : public SubOperator {
+/// from `rank_params`. Each rank is one ExecScope (core/exec_scope.h),
+/// spilling into the driver context's spill store; what is MPI-specific
+/// here is the runtime call, the communicator and the net.* /
+/// exchange.overlap_ratio counters. The executor yields every tuple the
+/// rank plans emit (rank-ordered) to the driver-side remainder of the plan.
+class MpiExecutor : public FleetExecutor {
  public:
   struct Config {
     int world_size = 4;
@@ -55,24 +58,15 @@ class MpiExecutor : public SubOperator {
     /// Plan inputs for rank `r` (bound to its ParameterLookups). May be
     /// null when the nested plan has no inputs.
     std::function<Tuple(int rank)> rank_params;
-    /// Destination for the blocking operators' spill files when
-    /// ExecOptions::memory_limit_bytes forces graceful degradation
-    /// (docs/DESIGN-memory.md). Null = spills fail fast with
-    /// kResourceExhausted. Must be thread-safe (shared by all ranks).
-    storage::BlobStore* spill_store = nullptr;
   };
 
   explicit MpiExecutor(Config config)
-      : SubOperator("MpiExecutor"), config_(std::move(config)) {}
+      : FleetExecutor("MpiExecutor"), config_(std::move(config)) {}
 
   Status Open(ExecContext* ctx) override;
-  bool Next(Tuple* out) override;
 
  private:
   Config config_;
-  std::vector<Tuple> results_;
-  std::vector<std::vector<RowVectorPtr>> arenas_;
-  size_t emit_pos_ = 0;
 };
 
 /// MpiHistogram turns a local radix histogram into the global one via

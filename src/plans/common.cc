@@ -53,23 +53,4 @@ std::string AddExchangePipelines(PipelinePlan* plan, const std::string& base,
   return base + "_mx";
 }
 
-Result<RowVectorPtr> DrainCollections(SubOperator* root, ExecContext* ctx,
-                                      const Schema& schema) {
-  MODULARIS_RETURN_NOT_OK(root->Open(ctx));
-  RowVectorPtr out = RowVector::Make(schema);
-  Tuple t;
-  while (root->Next(&t)) {
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (t[i].is_collection()) {
-        out->AppendAll(*t[i].collection());
-      } else if (t[i].is_row()) {
-        out->AppendRaw(t[i].row().data());
-      }
-    }
-  }
-  MODULARIS_RETURN_NOT_OK(root->status());
-  MODULARIS_RETURN_NOT_OK(root->Close());
-  return out;
-}
-
 }  // namespace modularis::plans

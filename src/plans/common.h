@@ -54,10 +54,6 @@ inline Schema JoinOutSchema() {
                  Field::I64("value_r")});
 }
 
-/// Drains a root operator and concatenates all collection items it yields
-/// into one RowVector of `schema`.
-Result<RowVectorPtr> DrainCollections(SubOperator* root, ExecContext* ctx,
-                                      const Schema& schema);
 
 /// Transport-specific exchange prefix (paper §4.1): everything between a
 /// materialized per-rank stream and the shuffled ⟨pid, partition⟩ stream

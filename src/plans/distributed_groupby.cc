@@ -52,12 +52,9 @@ Result<RowVectorPtr> RunDistributedGroupBy(
   config.rank_params = [&fragments](int rank) {
     return Tuple{Item(fragments[rank])};
   };
+  ExecScope driver(opts.exec, stats);
   MpiExecutor executor(std::move(config));
-
-  ExecContext driver;
-  driver.options = opts.exec;
-  driver.stats = stats;
-  return DrainCollections(&executor, &driver, GroupByOutSchema());
+  return driver.Collect(&executor, GroupByOutSchema());
 }
 
 }  // namespace modularis::plans

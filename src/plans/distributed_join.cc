@@ -63,14 +63,11 @@ Result<RowVectorPtr> RunDistributedJoin(
   config.rank_params = [&inner, &outer](int rank) {
     return Tuple{Item(inner[rank]), Item(outer[rank])};
   };
+  ExecScope driver(opts.exec, stats);
   MpiExecutor executor(std::move(config));
-
-  ExecContext driver;
-  driver.options = opts.exec;
-  driver.stats = stats;
   Schema out_schema = opts.join_type == JoinType::kInner ? JoinOutSchema()
                                                          : KeyValueSchema();
-  return DrainCollections(&executor, &driver, out_schema);
+  return driver.Collect(&executor, out_schema);
 }
 
 }  // namespace modularis::plans

@@ -93,12 +93,9 @@ Result<RowVectorPtr> RunJoinSequence(
     for (const auto& frags : relations) t.push_back(Item(frags[rank]));
     return t;
   };
+  ExecScope driver(opts.exec, stats);
   MpiExecutor executor(std::move(config));
-
-  ExecContext driver;
-  driver.options = opts.exec;
-  driver.stats = stats;
-  return DrainCollections(&executor, &driver, SequenceOutSchema(num_joins));
+  return driver.Collect(&executor, SequenceOutSchema(num_joins));
 }
 
 }  // namespace modularis::plans

@@ -61,9 +61,12 @@ Result<std::string> S3SelectEngine::Select(
           break;
       }
     }
-    if (predicate != nullptr && !predicate->EvalBool(scratch->row(0))) {
-      continue;
+    bool keep = true;
+    if (predicate != nullptr) {
+      MODULARIS_RETURN_NOT_OK(
+          predicate->EvalBoolChecked(scratch->row(0), &keep));
     }
+    if (!keep) continue;
     for (size_t oc = 0; oc < cols.size(); ++oc) {
       const Column& src = table->column(cols[oc]);
       Column& dst = out->column(oc);

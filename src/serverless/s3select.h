@@ -34,8 +34,9 @@ class S3SelectEngine {
 
   /// Runs the pushdown query over object `key` (CSV rows of `schema`).
   /// `projection` lists output columns (empty = all); `predicate` may be
-  /// null. The CSV result transfer is charged to `client` (the worker's
-  /// connection), modelling the streamed response.
+  /// null; one that evaluates to a non-numeric value is InvalidArgument,
+  /// as in Filter. The CSV result transfer is charged to `client` (the
+  /// worker's connection), modelling the streamed response.
   Result<std::string> Select(const std::string& key, const Schema& schema,
                              const std::vector<int>& projection,
                              const ExprPtr& predicate,

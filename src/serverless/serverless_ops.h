@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/exec_scope.h"
 #include "core/sub_operator.h"
 #include "serverless/lambda.h"
 #include "serverless/s3select.h"
@@ -21,8 +22,11 @@ namespace modularis {
 
 /// LambdaExecutor runs a nested plan on every serverless worker (spawned
 /// in a tree-plan fashion) and forwards the workers' result tuples —
-/// typically S3 paths of materialized results — to the driver plan.
-class LambdaExecutor : public SubOperator {
+/// typically S3 paths of materialized results — to the driver plan. Each
+/// worker is one ExecScope (core/exec_scope.h); what is Lambda-specific
+/// here is the runtime call, the worker's S3 client, S3 Select and Lambda
+/// services, and the s3.* counters.
+class LambdaExecutor : public FleetExecutor {
  public:
   struct Config {
     serverless::LambdaOptions lambda;
@@ -33,16 +37,12 @@ class LambdaExecutor : public SubOperator {
   };
 
   explicit LambdaExecutor(Config config)
-      : SubOperator("LambdaExecutor"), config_(std::move(config)) {}
+      : FleetExecutor("LambdaExecutor"), config_(std::move(config)) {}
 
   Status Open(ExecContext* ctx) override;
-  bool Next(Tuple* out) override;
 
  private:
   Config config_;
-  std::vector<Tuple> results_;
-  std::vector<std::vector<RowVectorPtr>> arenas_;
-  size_t emit_pos_ = 0;
 };
 
 /// S3Exchange implements the Lambada exchange (paper §4.4): each worker

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/exec_scope.h"
 #include "planner/passes.h"
 #include "plans/common.h"
 #include "storage/csv.h"
@@ -415,6 +416,16 @@ planner::ScanLeafKind ScanLeafFor(Platform platform) {
   return planner::ScanLeafKind::kMemoryRows;
 }
 
+TpchPlanEnv MakePlanEnv(const TpchRunOptions& opts, std::string tag) {
+  TpchPlanEnv env;
+  env.platform = opts.platform;
+  env.fused = opts.exec.enable_fusion;
+  env.world = opts.world_size;
+  env.exec = opts.exec;
+  env.tag = std::move(tag);
+  return env;
+}
+
 planner::LoweringContext MakeLoweringContext(const TpchPlanEnv& env,
                                              StatsRegistry* stats) {
   planner::LoweringContext lctx;
@@ -579,19 +590,12 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
                                       const TpchContext& ctx,
                                       const TpchRunOptions& opts,
                                       StatsRegistry* stats) {
-  const bool serverless = opts.platform == Platform::kLambda ||
-                          opts.platform == Platform::kS3Select;
-  if (serverless && (opts.world_size & (opts.world_size - 1)) != 0) {
+  const TpchPlanEnv env = MakePlanEnv(
+      opts, "q-run" + std::to_string(g_run_counter.fetch_add(1)));
+  if (env.serverless() && (opts.world_size & (opts.world_size - 1)) != 0) {
     return Status::InvalidArgument(
         "serverless platforms require a power-of-two worker count");
   }
-
-  TpchPlanEnv env;
-  env.platform = opts.platform;
-  env.fused = opts.exec.enable_fusion;
-  env.world = opts.world_size;
-  env.exec = opts.exec;
-  env.tag = "q-run" + std::to_string(g_run_counter.fetch_add(1));
   const RunObjectsCleanup cleanup(ctx.store.get(), env.tag + "/");
 
   // Rank/worker plan factory: identical structure on every rank.
@@ -611,41 +615,34 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
     return plan;
   };
 
-  // Collect rank partials at the driver. The driver-side merge tail
-  // (ReduceByKey / Sort) gets its own budget and spills into the same
-  // store as the rank plans (docs/DESIGN-memory.md). Declared before the
-  // merge operators below so it outlives their ScopedCharges.
-  MemoryBudget driver_budget(opts.exec.memory_limit_bytes);
-  RowVectorPtr partials = RowVector::Make(spec.rank_schema);
-  ExecContext driver;
-  driver.options = opts.exec;
-  driver.stats = stats;
-  driver.budget = &driver_budget;
-  driver.spill_store = ctx.store.get();
+  // Owns the query's cancellation token, which the deadline arms for the
+  // ranks and the merge tail alike, and the tail's budget; declared before
+  // every driver-side operator so it outlives their ScopedCharges.
+  ExecScope driver(opts.exec, stats);
+  driver.ctx()->spill_store = ctx.store.get();
 
-  auto path_params = [&ctx](int rank) {
+  // Plan inputs: each table's in-memory fragment (RDMA) or object path.
+  auto plan_params = [&ctx, &opts](int rank) {
     Tuple t;
     for (int tb = 0; tb < kNumPlanTables; ++tb) {
-      t.push_back(Item(ctx.paths[tb][rank]));
+      t.push_back(opts.platform == Platform::kRdma
+                      ? Item(ctx.frags[tb][rank])
+                      : Item(ctx.paths[tb][rank]));
     }
     return t;
   };
 
-  if (!serverless) {
+  // The executor, wrapped in whatever the driver reads its partials
+  // through; released once they are collected.
+  std::unique_ptr<storage::BlobClient> driver_client;
+  SubOpPtr partials_source;
+  if (!env.serverless()) {
     MpiExecutor::Config config;
     config.world_size = opts.world_size;
     config.fabric = opts.fabric;
-    config.spill_store = ctx.store.get();
-    if (opts.platform == Platform::kRdma) {
-      config.plan_factory = make_plan;
-      config.rank_params = [&ctx](int rank) {
-        Tuple t;
-        for (int tb = 0; tb < kNumPlanTables; ++tb) {
-          t.push_back(Item(ctx.frags[tb][rank]));
-        }
-        return t;
-      };
-    } else {
+    config.plan_factory = make_plan;
+    config.rank_params = plan_params;
+    if (opts.platform == Platform::kRdmaDisc) {
       // Disc-backed tables: install an NFS-profile client per rank.
       storage::BlobStore* store = ctx.store.get();
       storage::BlobClientOptions profile = opts.storage;
@@ -653,13 +650,8 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
         return std::make_unique<WithBlobClient>(make_plan(rank), store,
                                                 profile);
       };
-      config.rank_params = path_params;
     }
-    MpiExecutor executor(std::move(config));
-    MODULARIS_ASSIGN_OR_RETURN(
-        RowVectorPtr rows,
-        plans::DrainCollections(&executor, &driver, spec.rank_schema));
-    partials = rows;
+    partials_source = std::make_unique<MpiExecutor>(std::move(config));
   } else {
     LambdaExecutor::Config config;
     config.lambda = opts.lambda;
@@ -668,26 +660,24 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
     config.store = ctx.store.get();
     config.s3select = ctx.s3select.get();
     config.plan_factory = make_plan;
-    config.worker_params = path_params;
+    config.worker_params = plan_params;
 
     // The driver reads the workers' result files back from S3 (PS → CS
     // tail of Fig. 7).
-    storage::BlobClient driver_client(ctx.store.get(), opts.storage, -1);
-    driver.blob = &driver_client;
+    driver_client = std::make_unique<storage::BlobClient>(
+        ctx.store.get(), opts.storage, -1);
+    driver.ctx()->blob = driver_client.get();
     ColumnFileScan::Options copts;
     copts.retry = opts.exec.retry;
-    auto scan = std::make_unique<ColumnScan>(
+    partials_source = std::make_unique<ColumnScan>(
         std::make_unique<ColumnFileScan>(
             std::make_unique<LambdaExecutor>(std::move(config)), copts),
         spec.rank_schema);
-    MODULARIS_RETURN_NOT_OK(scan->Open(&driver));
-    Tuple t;
-    while (scan->Next(&t)) {
-      partials->AppendRaw(t[0].row().data());
-    }
-    MODULARIS_RETURN_NOT_OK(scan->status());
-    MODULARIS_RETURN_NOT_OK(scan->Close());
   }
+  MODULARIS_ASSIGN_OR_RETURN(
+      RowVectorPtr partials,
+      driver.Collect(partials_source.get(), spec.rank_schema));
+  partials_source.reset();
 
   // Driver-side merge: ReduceByKey → finalize Map → Sort/TopK (the RK /
   // TK / MR tail of Figs. 6 and 7).
@@ -728,15 +718,8 @@ Result<RowVectorPtr> RunTpchQuerySpec(const TpchQuerySpec& spec,
   }
   auto mr = std::make_unique<MaterializeRowVector>(std::move(cur),
                                                    spec.final_schema);
-  auto result = plans::DrainCollections(mr.get(), &driver, spec.final_schema);
-  if (stats != nullptr && driver_budget.peak() > 0) {
-    stats->AddCounter("mem.peak_bytes",
-                      static_cast<int64_t>(driver_budget.peak()));
-    if (driver_budget.denials() > 0) {
-      stats->AddCounter("mem.denials",
-                        static_cast<int64_t>(driver_budget.denials()));
-    }
-  }
+  auto result = driver.Collect(mr.get(), spec.final_schema);
+  driver.Finish();
   return result;
 }
 
@@ -754,13 +737,8 @@ Result<RowVectorPtr> RunTpchQuery(int query, const TpchContext& ctx,
   // Status here instead of aborting inside the executor's plan factory
   // (which has no error channel).
   {
-    TpchPlanEnv env;
-    env.platform = opts.platform;
-    env.fused = opts.exec.enable_fusion;
-    env.world = opts.world_size;
-    env.exec = opts.exec;
-    env.tag = "trial";
-    planner::LoweringContext lctx = MakeLoweringContext(env, nullptr);
+    planner::LoweringContext lctx =
+        MakeLoweringContext(MakePlanEnv(opts, "trial"), nullptr);
     PipelinePlan scratch;
     auto trial = planner::LowerRankPlan(*driver.rank_root, &scratch, &lctx);
     if (!trial.ok()) return trial.status();

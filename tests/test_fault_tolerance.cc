@@ -536,8 +536,13 @@ TEST(LambdaCrashTest, WorkerCrashAbortsTheWholeQuery) {
   EXPECT_GE(stats.GetCounter("fault.injected.lambda.spawn"), 1);
 }
 
-TEST(DeadlineTest, ExpiredDeadlineAbortsTheQueryOnEveryRank) {
-  tpch::TpchRunOptions opts = TransportOptions(FaultTransport::kMpi, 2);
+/// The deadline arms the query's one cancellation token in the driver's
+/// ExecScope, which every rank or worker scope shares: each transport
+/// must abort with the deadline as the cause.
+class DeadlineTest : public ::testing::TestWithParam<FaultTransport> {};
+
+TEST_P(DeadlineTest, ExpiredDeadlineAbortsTheQueryOnEveryRank) {
+  tpch::TpchRunOptions opts = TransportOptions(GetParam(), 2);
   auto ctx = tpch::PrepareTpch(Db(), opts);
   ASSERT_TRUE(ctx.ok());
   opts.exec.deadline_seconds = 1e-9;  // expires before the first morsel
@@ -549,6 +554,14 @@ TEST(DeadlineTest, ExpiredDeadlineAbortsTheQueryOnEveryRank) {
             std::string::npos)
       << result.status().ToString();
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTransports, DeadlineTest,
+    ::testing::Values(FaultTransport::kMpi, FaultTransport::kTcp,
+                      FaultTransport::kLambda),
+    [](const ::testing::TestParamInfo<FaultTransport>& info) {
+      return TransportName(info.param);
+    });
 
 }  // namespace
 }  // namespace modularis

@@ -331,5 +331,68 @@ TEST(MpiExchangeTest, RejectsCompressionOfNonKvSchemas) {
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
+// ---------------------------------------------------------------------------
+// ExecScope / FleetExecutor, driven through MpiExecutor
+// ---------------------------------------------------------------------------
+
+/// A rank plan whose Open fails.
+class FailingPlan : public SubOperator {
+ public:
+  FailingPlan() : SubOperator("FailingPlan") {}
+  Status Open(ExecContext*) override {
+    return Status::Internal("rank plan failed");
+  }
+  bool Next(Tuple*) override { return false; }
+};
+
+/// Rank r yields r + 1 tuples ⟨r⟩; rank `failing_rank` fails instead.
+MpiExecutor::Config RankConfig(int world, int failing_rank = -1) {
+  MpiExecutor::Config config;
+  config.world_size = world;
+  config.fabric = Unthrottled();
+  config.plan_factory = [failing_rank](int rank) -> SubOpPtr {
+    if (rank == failing_rank) return std::make_unique<FailingPlan>();
+    return std::make_unique<TupleSource>(
+        std::vector<Tuple>(rank + 1, Tuple{Item(int64_t{rank})}));
+  };
+  return config;
+}
+
+TEST(ExecScopeTest, FleetFoldsScopesInRankOrder) {
+  StatsRegistry stats;
+  ExecScope driver(ExecOptions{}, &stats);
+  MpiExecutor executor(RankConfig(3));
+  ASSERT_TRUE(executor.Open(driver.ctx()).ok());
+  std::vector<int64_t> ranks;
+  Tuple t;
+  while (executor.Next(&t)) ranks.push_back(t[0].i64());
+  EXPECT_EQ(ranks, (std::vector<int64_t>{0, 1, 1, 2, 2, 2}));
+  EXPECT_GT(stats.GetTime("phase.rank_total"), 0);
+  EXPECT_EQ(stats.GetCounter("net.bytes_sent"), 0);
+}
+
+TEST(ExecScopeTest, FailingRankCancelsTheDriversQueryToken) {
+  ExecScope driver(ExecOptions{}, nullptr);
+  MpiExecutor executor(RankConfig(2, /*failing_rank=*/1));
+  Status st = executor.Open(driver.ctx());
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  // The rank and the driver share one token: the driver's next
+  // cancellation check sees the rank's failure as the cause.
+  EXPECT_EQ(driver.ctx()->cancel->Check().code(), StatusCode::kInternal);
+}
+
+TEST(ExecScopeTest, DriverDeadlineStopsEveryRank) {
+  ExecOptions options;
+  options.deadline_seconds = 1e-9;
+  ExecScope driver(options, nullptr);
+  MpiExecutor executor(RankConfig(2));
+  // Opened directly, past the driver's own first check: the ranks' scopes
+  // must trip the shared deadline themselves.
+  Status st = executor.Open(driver.ctx());
+  EXPECT_EQ(st.code(), StatusCode::kAborted);
+  EXPECT_NE(st.ToString().find("deadline exceeded"), std::string::npos)
+      << st.ToString();
+}
+
 }  // namespace
 }  // namespace modularis

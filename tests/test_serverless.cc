@@ -102,6 +102,30 @@ TEST(S3SelectEngineTest, PushesDownProjectionAndPredicate) {
   EXPECT_GT(client.bytes_transferred(), 0);
 }
 
+TEST(S3SelectEngineTest, NonNumericPredicateIsAnErrorNotAnEmptyResult) {
+  Schema schema({Field::I64("id"), Field::Str("tag", 8)});
+  ColumnTablePtr table = ColumnTable::Make(schema);
+  for (int i = 0; i < 10; ++i) {
+    table->column(0).AppendInt64(i);
+    table->column(1).AppendString("x");
+  }
+  table->FinishBulkLoad();
+
+  BlobStore store;
+  store.Put("t.csv", storage::WriteCsv(*table));
+  serverless::S3SelectOptions opts;
+  opts.throttle = false;
+  S3SelectEngine engine(&store, opts);
+
+  // WHERE tag: a string column used as the predicate must fail the query
+  // (as Filter does), not silently select zero rows.
+  auto csv = engine.Select("t.csv", schema, {}, ex::Col(1), nullptr);
+  ASSERT_FALSE(csv.ok());
+  EXPECT_EQ(csv.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(csv.status().ToString().find("non-numeric"), std::string::npos)
+      << csv.status().ToString();
+}
+
 TEST(S3SelectEngineTest, MissingObjectIsNotFound) {
   BlobStore store;
   serverless::S3SelectOptions opts;
